@@ -361,7 +361,7 @@ void demt_schedule_into(const Instance& instance, const DemtOptions& options,
   ws.dual.warm.enabled = options.warm_dual_start;
   estimate_cmax_into(instance, options.dual_eps, ws.tables, ws.dual,
                      ws.estimate);
-  const TimeGrid grid(ws.estimate.estimate, instance.tmin());
+  const TimeGrid grid(ws.estimate.estimate, ws.tables.tmin());
 
   out_diag.cmax_estimate = ws.estimate.estimate;
   out_diag.cmax_lower_bound = ws.estimate.lower_bound;

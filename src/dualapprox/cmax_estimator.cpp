@@ -27,6 +27,17 @@ double combinatorial_lower_bound(const Instance& instance) {
   return lb;
 }
 
+/// Same bound read from the tables' per-task minima (bit-identical: the
+/// tables hold the same doubles, summed in the same task order), so the
+/// search makes no O(n * max_procs) scan of its own.
+double combinatorial_lower_bound(const InstanceAllotments& tables, int m) {
+  double lb = tables.total_min_work() / m;
+  for (int t = 0; t < tables.num_tasks(); ++t) {
+    lb = std::max(lb, tables.min_time(t));
+  }
+  return lb;
+}
+
 /// Warm-started form of the search below: replay the *exact* cold probe
 /// trajectory (combinatorial bound, exponential doubling, bisection on
 /// `mid = 0.5 * (lo + hi)`) against an outcome oracle seeded by re-testing
@@ -99,7 +110,7 @@ void warm_estimate_cmax_into(const Instance& instance, double rel_eps,
     record(lo, hi);
   };
 
-  const double lb = combinatorial_lower_bound(instance);
+  const double lb = combinatorial_lower_bound(tables, instance.procs());
   out.lower_bound = lb;
 
   // Seed the oracle from the previous call's bounds (cold start when none).
@@ -184,7 +195,7 @@ void estimate_cmax_into(const Instance& instance, double rel_eps,
     return ws.scratch;
   };
 
-  const double lb = combinatorial_lower_bound(instance);
+  const double lb = combinatorial_lower_bound(tables, instance.procs());
   out.lower_bound = lb;
 
   // If the dual test already accepts the combinatorial bound, it is also

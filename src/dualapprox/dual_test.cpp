@@ -30,7 +30,12 @@ bool build_shelf_options(const Instance& instance, double lambda,
   ws.shelf2_work.assign(static_cast<std::size_t>(n), kInf);
   ws.shelf2_procs.assign(static_cast<std::size_t>(n), 0);
   for (int i = 0; i < n; ++i) {
-    const MoldableTask& task = instance.task(i);
+    const MoldableTask& task = instance.tasks()[static_cast<std::size_t>(i)];
+    // k * time(k) without the range check: c1 and g2 are allowed
+    // allotments of this task.
+    const auto work = [&task](int k) {
+      return k * task.times()[static_cast<std::size_t>(k) - 1];
+    };
     if (tables != nullptr && tables->table(i).strictly_monotone()) {
       // Monotone fast path: time non-increasing means every allotment from
       // the canonical one up meets lambda, and work non-decreasing means
@@ -39,7 +44,7 @@ bool build_shelf_options(const Instance& instance, double lambda,
       const int c1 = tables->table(i).canonical(lambda);
       if (c1 == 0) return false;  // cannot meet lambda: reject
       ws.opt_procs.push_back(c1);
-      ws.opt_work.push_back(task.work(c1));
+      ws.opt_work.push_back(work(c1));
     } else {
       const std::size_t begin = ws.opt_procs.size();
       for (int k = task.min_procs(); k <= task.max_procs(); ++k) {
@@ -57,7 +62,7 @@ bool build_shelf_options(const Instance& instance, double lambda,
                        ? tables->table(i).min_work(lambda / 2.0)
                        : task.min_work_allotment(lambda / 2.0);
     if (g2 > 0) {
-      ws.shelf2_work[static_cast<std::size_t>(i)] = task.work(g2);
+      ws.shelf2_work[static_cast<std::size_t>(i)] = work(g2);
       ws.shelf2_procs[static_cast<std::size_t>(i)] = g2;
     }
   }
@@ -116,14 +121,17 @@ void finish_from_dp(double lambda, int n, int m, DualTestWorkspace& ws,
 ///
 /// The DP is the reference recurrence with the loops interchanged: instead
 /// of computing each budget cell by scanning its options, each option makes
-/// one contiguous row sweep over budgets [cost..m] with select updates.
-/// Per cell the comparison sequence is unchanged — shelf-2 seed first, then
-/// options in ascending order, each a strict `<` against the running best —
-/// so every cell receives the bit-identical value and pick. Infinities
-/// stay well-behaved: base = +inf gives candidate = +inf, and +inf < best
-/// is false even when best is +inf, matching the reference's explicit
-/// finiteness guards (no NaN can arise; work values are finite and
-/// non-negative).
+/// one contiguous row sweep over budgets [cost..m] with select updates. The
+/// shelf-2 seed rides in the first option's sweep (every task has at least
+/// one option), so a task with a single option — every strictly monotone
+/// one — costs one pass over the row. Per cell the comparison sequence is
+/// unchanged — shelf-2 seed first, then options in ascending order, each a
+/// strict `<` against the running best — so every cell receives the
+/// bit-identical value and pick. Every pick cell is written, so the pick
+/// matrix needs no fill. Infinities stay well-behaved: base = +inf gives
+/// candidate = +inf, and +inf < best is false even when best is +inf,
+/// matching the reference's explicit finiteness guards (no NaN can arise;
+/// work values are finite and non-negative).
 void dual_test_vec_impl(const Instance& instance, double lambda,
                         const InstanceAllotments* tables,
                         DualTestWorkspace& ws, DualTestResult& out) {
@@ -144,7 +152,7 @@ void dual_test_vec_impl(const Instance& instance, double lambda,
   const std::size_t row = static_cast<std::size_t>(m) + 1;
   ws.dp.assign(row, 0.0);
   ws.next.resize(row);
-  ws.pick.assign(static_cast<std::size_t>(n) * row, kUnreachable);
+  ws.pick.resize(static_cast<std::size_t>(n) * row);
 
   for (int i = 0; i < n; ++i) {
     const auto begin = static_cast<std::size_t>(ws.opt_begin[i]);
@@ -154,16 +162,30 @@ void dual_test_vec_impl(const Instance& instance, double lambda,
     double* next = ws.next.data();
     std::int16_t* pick_row =
         ws.pick.data() + static_cast<std::size_t>(i) * row;
-    // Seed row: the shelf-2 branch for every budget.
-    for (std::size_t j = 0; j < row; ++j) {
+    // Shelf-2 seed for every budget, fused with the first option's sweep
+    // from its cost on: the seed is the running best that option 0 must
+    // strictly beat.
+    const auto cost0 = static_cast<std::size_t>(ws.opt_procs[begin]);
+    const double w0 = ws.opt_work[begin];
+    for (std::size_t j = 0; j < cost0; ++j) {
       const double cand = dp[j] + shelf2;
       const bool ok = cand < kInf;
       next[j] = ok ? cand : kInf;
       pick_row[j] = ok ? kShelf2 : kUnreachable;
     }
-    // One row sweep per shelf-1 option, ascending (preserves the
+    for (std::size_t j = cost0; j < row; ++j) {
+      const double seed = dp[j] + shelf2;
+      const bool ok = seed < kInf;
+      const double best = ok ? seed : kInf;
+      const std::int16_t best_pick = ok ? kShelf2 : kUnreachable;
+      const double cand = dp[j - cost0] + w0;
+      const bool better = cand < best;
+      next[j] = better ? cand : best;
+      pick_row[j] = better ? std::int16_t{0} : best_pick;
+    }
+    // One row sweep per further shelf-1 option, ascending (preserves the
     // reference's option visit order per cell).
-    for (std::size_t o = begin; o < end; ++o) {
+    for (std::size_t o = begin + 1; o < end; ++o) {
       const auto cost = static_cast<std::size_t>(ws.opt_procs[o]);
       const double w = ws.opt_work[o];
       const auto id = static_cast<std::int16_t>(o - begin);

@@ -1,6 +1,7 @@
 #include "sched/list_scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -26,7 +27,14 @@ void list_schedule_into(int m, int num_entries,
                         ListPassWorkspace& ws, FlatPlacements& out) {
   out.reset(num_entries);
   ws.events.clear();
-  ws.idle.assign(static_cast<std::size_t>(m), 1);
+  // Idle processors as a bitset (bit p % 64 of word p / 64), so picking
+  // the lowest-numbered idle processors visits only idle ones.
+  const std::size_t words = (static_cast<std::size_t>(m) + 63) / 64;
+  ws.idle.assign(words, ~std::uint64_t{0});
+  if (m % 64 != 0) ws.idle[words - 1] = (std::uint64_t{1} << (m % 64)) - 1;
+  const auto bit = [](std::size_t p) { return std::uint64_t{1} << (p % 64); };
+  const auto set_idle = [&](std::size_t p) { ws.idle[p / 64] |= bit(p); };
+  const auto set_busy = [&](std::size_t p) { ws.idle[p / 64] &= ~bit(p); };
   ws.done.assign(ws.jobs.size(), 0);
   int idle_count = m;
 
@@ -65,6 +73,15 @@ void list_schedule_into(int m, int num_entries,
   std::size_t next_res = 0;
   std::size_t remaining = ws.jobs.size();
   double now = 0.0;
+  // Every job before `first` is done, so neither scan below revisits them.
+  // Once `now` has passed the latest release no pending job can still be
+  // unreleased, and the release scan is skipped (on DEMT's passes every
+  // release is 0, so it never runs).
+  std::size_t first = 0;
+  double last_release = 0.0;
+  for (const ListJob& job : ws.jobs) {
+    last_release = std::max(last_release, job.release);
+  }
 
   const auto push_event = [&](double time, int entry) {
     ws.events.push_back({time, entry});
@@ -78,11 +95,11 @@ void list_schedule_into(int m, int num_entries,
       const auto p = static_cast<std::size_t>(r.proc);
       // The processor must be idle when the reservation begins; the caller
       // (online simulator) aligns reservations with idle periods.
-      if (!ws.idle[p]) {
+      if ((ws.idle[p / 64] & bit(p)) == 0) {
         throw std::logic_error(
             "list_schedule: reservation starts on a busy processor");
       }
-      ws.idle[p] = 0;
+      set_busy(p);
       --idle_count;
       push_event(r.finish, -1 - r.proc);
       ws.next_res_start[p] = r.next_on_proc >= 0
@@ -98,7 +115,7 @@ void list_schedule_into(int m, int num_entries,
 
   while (remaining > 0) {
     // Start every pending job that fits, in list order.
-    for (std::size_t j = 0; j < ws.jobs.size() && idle_count > 0; ++j) {
+    for (std::size_t j = first; j < ws.jobs.size() && idle_count > 0; ++j) {
       if (ws.done[j]) continue;
       const ListJob& job = ws.jobs[j];
       if (job.release > now + kTol) continue;
@@ -107,15 +124,17 @@ void list_schedule_into(int m, int num_entries,
       // for [now, now + duration).
       ws.chosen.clear();
       const double finish = now + job.duration;
-      for (int p = 0; p < m && static_cast<int>(ws.chosen.size()) < job.nprocs;
-           ++p) {
-        const auto pi = static_cast<std::size_t>(p);
-        if (!ws.idle[pi]) continue;
-        if (ws.next_res_start[pi] < finish - kTol) continue;  // blocked
-        ws.chosen.push_back(p);
+      const auto want = static_cast<std::size_t>(job.nprocs);
+      for (std::size_t w = 0; w < words && ws.chosen.size() < want; ++w) {
+        for (std::uint64_t b = ws.idle[w]; b != 0 && ws.chosen.size() < want;
+             b &= b - 1) {
+          const std::size_t p = w * 64 + std::countr_zero(b);
+          if (ws.next_res_start[p] < finish - kTol) continue;  // blocked
+          ws.chosen.push_back(static_cast<int>(p));
+        }
       }
-      if (static_cast<int>(ws.chosen.size()) < job.nprocs) continue;
-      for (int p : ws.chosen) ws.idle[static_cast<std::size_t>(p)] = 0;
+      if (ws.chosen.size() < want) continue;
+      for (int p : ws.chosen) set_busy(static_cast<std::size_t>(p));
       idle_count -= job.nprocs;
       const auto e = static_cast<std::size_t>(job.task);
       out.start[e] = now;
@@ -129,13 +148,16 @@ void list_schedule_into(int m, int num_entries,
       --remaining;
     }
     if (remaining == 0) break;
+    while (ws.done[first]) ++first;
 
     // Advance time to the next finish event, job release, or reservation
     // start.
     double next_time = ws.events.empty() ? kInf : ws.events.front().time;
-    for (std::size_t j = 0; j < ws.jobs.size(); ++j) {
-      if (!ws.done[j] && ws.jobs[j].release > now + kTol) {
-        next_time = std::min(next_time, ws.jobs[j].release);
+    if (last_release > now + kTol) {
+      for (std::size_t j = first; j < ws.jobs.size(); ++j) {
+        if (!ws.done[j] && ws.jobs[j].release > now + kTol) {
+          next_time = std::min(next_time, ws.jobs[j].release);
+        }
       }
     }
     if (next_res < ws.reservations.size()) {
@@ -156,11 +178,11 @@ void list_schedule_into(int m, int num_entries,
         const auto begin = static_cast<std::size_t>(out.proc_begin[e]);
         const auto count = static_cast<std::size_t>(out.proc_count[e]);
         for (std::size_t i = begin; i < begin + count; ++i) {
-          ws.idle[static_cast<std::size_t>(out.proc_ids[i])] = 1;
+          set_idle(static_cast<std::size_t>(out.proc_ids[i]));
         }
         idle_count += out.proc_count[e];
       } else {
-        ws.idle[static_cast<std::size_t>(-1 - event.entry)] = 1;
+        set_idle(static_cast<std::size_t>(-1 - event.entry));
         ++idle_count;
       }
     }

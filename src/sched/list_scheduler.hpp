@@ -13,6 +13,12 @@
 /// allocation-free `list_schedule_into`, which runs entirely inside a
 /// caller-owned ListPassWorkspace and writes flat placements — the form
 /// DEMT's shuffle loop calls thousands of times per instance.
+///
+/// Per event the start loop resumes at the first unfinished job instead of
+/// walking finished ones, picks processors from an idle bitset (cost in
+/// idle processors visited plus m/64 words, not m), and looks for the next
+/// release only while some job is still unreleased — never on DEMT's
+/// passes, where every release is 0.
 
 #pragma once
 
@@ -63,7 +69,7 @@ struct ListPassWorkspace {
     int entry = 0;
   };
   std::vector<FinishEvent> events;
-  std::vector<std::uint8_t> idle;  ///< per processor
+  std::vector<std::uint64_t> idle;  ///< idle-processor bitset, 64 per word
   std::vector<std::uint8_t> done;  ///< per job
   std::vector<int> chosen;         ///< processor-picking scratch
 

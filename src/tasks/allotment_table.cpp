@@ -1,6 +1,7 @@
 #include "tasks/allotment_table.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace moldsched {
 
@@ -73,14 +74,17 @@ int InstanceAllotments::View::min_work(double deadline) const noexcept {
 }
 
 void InstanceAllotments::build(const Instance& instance) {
+  const std::vector<MoldableTask>& tasks = instance.tasks();
   const int n = instance.num_tasks();
   begin_.resize(static_cast<std::size_t>(n) + 1);
   monotone_.resize(static_cast<std::size_t>(n));
+  min_time_.resize(static_cast<std::size_t>(n));
+  min_work_.resize(static_cast<std::size_t>(n));
 
   int total = 0;
   begin_[0] = 0;
   for (int t = 0; t < n; ++t) {
-    const MoldableTask& task = instance.task(t);
+    const MoldableTask& task = tasks[static_cast<std::size_t>(t)];
     total += task.max_procs() - task.min_procs() + 1;
     begin_[static_cast<std::size_t>(t) + 1] = total;
   }
@@ -88,44 +92,77 @@ void InstanceAllotments::build(const Instance& instance) {
   min_k_.resize(static_cast<std::size_t>(total));
   min_work_k_.resize(static_cast<std::size_t>(total));
 
+  tmin_ = std::numeric_limits<double>::infinity();
+  total_min_work_ = 0.0;
   for (int t = 0; t < n; ++t) {
-    const MoldableTask& task = instance.task(t);
+    const MoldableTask& task = tasks[static_cast<std::size_t>(t)];
     const int lo = task.min_procs();
+    const int hi = task.max_procs();
+    const double* raw = task.times().data();
+    const auto p = [raw](int k) { return raw[k - 1]; };  // task.time(k)
     const int base = begin_[static_cast<std::size_t>(t)];
-    const int count = begin_[static_cast<std::size_t>(t) + 1] - base;
 
-    // Same sort and prefix scans as AllotmentTable, writing into the shared
-    // pools; order_ is reused scratch.
-    order_.resize(static_cast<std::size_t>(count));
-    for (int i = 0; i < count; ++i) order_[static_cast<std::size_t>(i)] = lo + i;
-    std::sort(order_.begin(), order_.end(), [&](int a, int b) {
-      const double ta = task.time(a);
-      const double tb = task.time(b);
-      if (ta != tb) return ta < tb;
-      return a < b;
-    });
+    // The comparisons of is_time_monotone(0.0) and is_work_monotone(0.0)
+    // (adding a zero tolerance to a positive time changes nothing).
+    bool time_monotone = true;
+    bool work_monotone = true;
+    for (int k = lo + 1; k <= hi; ++k) {
+      if (p(k) > p(k - 1)) time_monotone = false;
+      if (k * p(k) < (k - 1) * p(k - 1)) work_monotone = false;
+    }
 
+    // Row writer: the same prefix scans as AllotmentTable, fed the
+    // allotments in (time asc, k asc) order. Starting best_work at +inf
+    // with best_work_k above every k makes the first row entry win exactly
+    // as AllotmentTable's seeding from order[0] does.
     double* times = times_.data() + base;
     int* min_k = min_k_.data() + base;
     int* min_work_k = min_work_k_.data() + base;
-    int best_k = order_[0];
-    int best_work_k = order_[0];
-    double best_work = best_work_k * task.time(best_work_k);
-    for (int i = 0; i < count; ++i) {
-      const int k = order_[static_cast<std::size_t>(i)];
-      times[i] = task.time(k);
+    int i = 0;
+    int best_k = std::numeric_limits<int>::max();
+    int best_work_k = std::numeric_limits<int>::max();
+    double best_work = std::numeric_limits<double>::infinity();
+    const auto emit = [&](int k) {
+      times[i] = p(k);
       best_k = std::min(best_k, k);
-      const double w = k * task.time(k);
+      const double w = k * p(k);
       if (w < best_work || (w == best_work && k < best_work_k)) {
         best_work = w;
         best_work_k = k;
       }
       min_k[i] = best_k;
       min_work_k[i] = best_work_k;
+      ++i;
+    };
+
+    if (time_monotone) {
+      // Times fall as k grows, so the sorted order is k descending with
+      // each run of equal times written in ascending k: one walk, no sort.
+      for (int k = hi; k >= lo;) {
+        int run = k;
+        while (run > lo && p(run - 1) == p(k)) --run;
+        for (int j = run; j <= k; ++j) emit(j);
+        k = run - 1;
+      }
+    } else {
+      order_.resize(static_cast<std::size_t>(hi - lo + 1));
+      for (int k = lo; k <= hi; ++k) {
+        order_[static_cast<std::size_t>(k - lo)] = k;
+      }
+      std::sort(order_.begin(), order_.end(), [p](int a, int b) {
+        if (p(a) != p(b)) return p(a) < p(b);
+        return a < b;
+      });
+      for (int k : order_) emit(k);
     }
 
     monotone_[static_cast<std::size_t>(t)] =
-        (task.is_time_monotone(0.0) && task.is_work_monotone(0.0)) ? 1 : 0;
+        (time_monotone && work_monotone) ? 1 : 0;
+    // The row's first time is the fastest; best_work has seen every work.
+    min_time_[static_cast<std::size_t>(t)] = times[0];
+    min_work_[static_cast<std::size_t>(t)] = best_work;
+    tmin_ = std::min(tmin_, times[0]);
+    total_min_work_ += best_work;
   }
 }
 

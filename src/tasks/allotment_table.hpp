@@ -4,10 +4,18 @@
 /// questions for varying deadlines — "smallest allowed k with
 /// time(k) <= d" (the canonical allotment) and "work-minimising allowed k
 /// with time(k) <= d" — and the task's answers depend only on its fixed
-/// time vector. Sorting the allotments once by execution time and
+/// time vector. Ordering the allotments once by execution time and
 /// attaching prefix argmins turns both queries into O(log max_procs)
 /// lookups, replacing the O(max_procs) scans that used to run inside every
 /// dual_test call and every batch construction.
+///
+/// Building InstanceAllotments costs O(max_procs) per time-monotone task
+/// (every generated task is one): its (time asc, k asc) order is k
+/// descending with runs of equal times kept in ascending k, written by one
+/// downward walk. Only tasks whose time rises somewhere pay an
+/// O(max_procs log max_procs) sort. The same pass yields each task's
+/// fastest time and cheapest work, so the dual-approximation search and the
+/// DEMT time grid read them instead of rescanning the instance.
 ///
 /// The tables reproduce MoldableTask::canonical_allotment and
 /// ::min_work_allotment bit-for-bit (same comparisons, same tie-breaks), so
@@ -119,6 +127,7 @@ class InstanceAllotments {
 
   /// Rebuild all rows for `instance`, reusing the flat buffers. Allocation
   /// free once the buffers have grown to the workload's high-water mark.
+  /// O(total allotments) when every task is time-monotone.
   void build(const Instance& instance);
 
   [[nodiscard]] View table(int task) const noexcept {
@@ -131,13 +140,31 @@ class InstanceAllotments {
     return static_cast<int>(monotone_.size());
   }
 
+  /// MoldableTask::min_time() and ::min_work() of `task`, bit for bit.
+  [[nodiscard]] double min_time(int task) const noexcept {
+    return min_time_[static_cast<std::size_t>(task)];
+  }
+  [[nodiscard]] double min_work(int task) const noexcept {
+    return min_work_[static_cast<std::size_t>(task)];
+  }
+  /// Instance::tmin() and ::total_min_work() of the built instance, bit for
+  /// bit (same task order); tmin() is +inf for an empty instance.
+  [[nodiscard]] double tmin() const noexcept { return tmin_; }
+  [[nodiscard]] double total_min_work() const noexcept {
+    return total_min_work_;
+  }
+
  private:
   std::vector<int> begin_;         ///< row offsets, size num_tasks + 1
   std::vector<double> times_;      ///< all tasks' sorted times, concatenated
   std::vector<int> min_k_;         ///< prefix argmin-k per row
   std::vector<int> min_work_k_;    ///< prefix min-work-k per row
   std::vector<std::uint8_t> monotone_;
-  std::vector<int> order_;         ///< build scratch: allotment sort keys
+  std::vector<double> min_time_;   ///< per task: fastest allowed time
+  std::vector<double> min_work_;   ///< per task: cheapest allowed work
+  double tmin_ = 0.0;
+  double total_min_work_ = 0.0;
+  std::vector<int> order_;         ///< build scratch: sort fallback keys
 };
 
 }  // namespace moldsched

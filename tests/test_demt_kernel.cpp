@@ -276,23 +276,36 @@ TEST(DemtKernel, KnapsackWorkspaceReuseAcrossShapes) {
 
 // ----------------------------------------------------- SoA allotment rows
 
+/// Row-for-row agreement of a fresh InstanceAllotments with the scalar
+/// AllotmentTable (the sorted form), plus the exported per-task minima and
+/// their instance-level aggregates, all bit for bit.
+void expect_tables_match_scalar(const Instance& instance) {
+  const InstanceAllotments tables(instance);
+  ASSERT_EQ(tables.num_tasks(), instance.num_tasks());
+  for (int t = 0; t < instance.num_tasks(); ++t) {
+    const MoldableTask& task = instance.task(t);
+    const AllotmentTable ref(task);
+    const InstanceAllotments::View view = tables.table(t);
+    ASSERT_EQ(view.size(), ref.size()) << "task " << t;
+    EXPECT_EQ(view.strictly_monotone(), ref.strictly_monotone())
+        << "task " << t;
+    for (int i = 0; i < ref.size(); ++i) {
+      EXPECT_EQ(view.time_at(i), ref.time_at(i)) << "t=" << t << " i=" << i;
+      EXPECT_EQ(view.min_k_at(i), ref.min_k_at(i)) << "t=" << t << " i=" << i;
+      EXPECT_EQ(view.min_work_k_at(i), ref.min_work_k_at(i))
+          << "t=" << t << " i=" << i;
+    }
+    EXPECT_EQ(tables.min_time(t), task.min_time()) << "task " << t;
+    EXPECT_EQ(tables.min_work(t), task.min_work()) << "task " << t;
+  }
+  EXPECT_EQ(tables.tmin(), instance.tmin());
+  EXPECT_EQ(tables.total_min_work(), instance.total_min_work());
+}
+
 TEST(DemtKernel, AllotmentViewMatchesScalarTableRows) {
   Rng rng(0xB1);
   for (int m : machine_sizes()) {
-    const Instance instance = make_mix_instance(Mix::Moldable, 30, m, rng);
-    const InstanceAllotments tables(instance);
-    ASSERT_EQ(tables.num_tasks(), instance.num_tasks());
-    for (int t = 0; t < instance.num_tasks(); ++t) {
-      const AllotmentTable ref(instance.task(t));
-      const InstanceAllotments::View view = tables.table(t);
-      ASSERT_EQ(view.size(), ref.size()) << "task " << t;
-      EXPECT_EQ(view.strictly_monotone(), ref.strictly_monotone());
-      for (int i = 0; i < ref.size(); ++i) {
-        EXPECT_EQ(view.time_at(i), ref.time_at(i)) << "t=" << t << " i=" << i;
-        EXPECT_EQ(view.min_k_at(i), ref.min_k_at(i));
-        EXPECT_EQ(view.min_work_k_at(i), ref.min_work_k_at(i));
-      }
-    }
+    expect_tables_match_scalar(make_mix_instance(Mix::Moldable, 30, m, rng));
   }
 }
 
@@ -369,6 +382,77 @@ TEST(DemtKernel, AllotmentBuildReuseBitIdentical) {
         EXPECT_EQ(a.min_k_at(i), b.min_k_at(i));
         EXPECT_EQ(a.min_work_k_at(i), b.min_work_k_at(i));
       }
+    }
+  }
+}
+
+TEST(DemtKernel, AllotmentBuildHandPickedShapes) {
+  // Time-monotone rows are written by a downward walk over k, everything
+  // else by the sort fallback; both must reproduce the sorted scalar table.
+  Instance instance(7);
+  // Runs of equal times with min_procs > 1.
+  instance.add_task(MoldableTask({5, 4, 4, 3, 3, 3}, 1.0, 3));
+  // All times equal (one run covering the whole row).
+  instance.add_task(MoldableTask({2, 2, 2, 2, 2, 2, 2}, 2.0));
+  // A single allowed allotment, fully moldable and rigid.
+  instance.add_task(MoldableTask({4.0}, 1.5));
+  instance.add_task(MoldableTask({9, 5, 4}, 1.0, 3));
+  // Runs at both ends of the row.
+  instance.add_task(MoldableTask({6, 6, 3, 2, 2, 2, 1}, 3.0));
+  // Time-monotone but not work-monotone: walked, yet not strictly monotone.
+  instance.add_task(MoldableTask({10, 4, 3}, 1.0));
+  // Non-monotone rows (sort fallback), with and without equal-time ties.
+  instance.add_task(MoldableTask({5, 4, 6, 3, 3, 7, 2}, 1.0));
+  instance.add_task(MoldableTask({3, 3, 4, 4, 2, 2, 2}, 2.5, 2));
+  expect_tables_match_scalar(instance);
+
+  const InstanceAllotments tables(instance);
+  EXPECT_TRUE(tables.table(0).strictly_monotone());
+  EXPECT_TRUE(tables.table(1).strictly_monotone());
+  EXPECT_FALSE(tables.table(5).strictly_monotone());
+  EXPECT_FALSE(tables.table(6).strictly_monotone());
+  // {5,4,4,3,3,3} from k=3: times 4,3,3,3 at k=3..6 sort to k=4,5,6,3.
+  const InstanceAllotments::View runs = tables.table(0);
+  ASSERT_EQ(runs.size(), 4);
+  EXPECT_EQ(runs.time_at(0), 3.0);
+  EXPECT_EQ(runs.min_k_at(0), 4);
+  EXPECT_EQ(runs.time_at(3), 4.0);
+  EXPECT_EQ(runs.min_k_at(3), 3);
+}
+
+TEST(DemtKernel, AllotmentBuildFuzzFlatRuns) {
+  // Time-monotone rows drawn from a handful of values so equal-time runs
+  // are common, random min_procs, and a share of rows with one upward bump
+  // so the sort fallback runs in the same instances.
+  Rng rng(0xB5);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int m = static_cast<int>(rng.uniform_int(1, 40));
+    Instance instance(m);
+    for (int t = 0; t < 20; ++t) {
+      const int hi = static_cast<int>(rng.uniform_int(1, m));
+      std::vector<double> times(static_cast<std::size_t>(hi));
+      double level = static_cast<double>(rng.uniform_int(hi, 3 * hi + 2));
+      for (auto& time : times) {
+        if (rng.bernoulli(0.5) && level > 1.0) level -= 1.0;
+        time = level;
+      }
+      if (hi > 2 && rng.bernoulli(0.25)) {
+        times[static_cast<std::size_t>(rng.uniform_int(1, hi - 1))] += 2.5;
+      }
+      const int lo = static_cast<int>(rng.uniform_int(1, hi));
+      instance.add_task(MoldableTask(std::move(times),
+                                     rng.uniform(1.0, 10.0), lo));
+    }
+    expect_tables_match_scalar(instance);
+  }
+}
+
+TEST(DemtKernel, AllotmentBuildMatchesScalarOnGeneratorFamilies) {
+  Rng rng(0xB6);
+  for (const auto family : all_families()) {
+    for (int m : {7, 64, 200}) {
+      const Instance instance = generate_instance(family, 30, m, rng);
+      expect_tables_match_scalar(instance);
     }
   }
 }

@@ -208,5 +208,64 @@ TEST(CmaxEstimator, WorkspaceFormKeepsTheSearchTrajectory) {
   }
 }
 
+
+TEST(DualTest, FusedSweepMatchesReferenceOnMixedOptionCounts) {
+  // Monotone tasks (one shelf-1 option) next to non-monotone ones (several
+  // options), tasks with no lambda/2 allotment (shelf-2 work +inf, so the
+  // budgets below their first option are unreachable), and a task whose
+  // canonical allotment is the whole machine.
+  const int m = 9;
+  Instance instance(m);
+  std::vector<double> linear;
+  for (int k = 1; k <= m; ++k) linear.push_back(36.0 / k);
+  // Monotone; its canonical allotment is m for lambda in [4, 4.5).
+  instance.add_task(MoldableTask(linear, 1.0));
+  instance.add_task(MoldableTask({6, 3, 2, 1.5, 1.2, 1}, 2.0));
+  instance.add_task(MoldableTask({8, 7, 2.5, 2.4, 1.1, 1.0, 3.0}, 1.0));
+  instance.add_task(MoldableTask({4, 4.5, 1.8, 1.9, 0.9}, 3.0, 2));
+  instance.add_task(MoldableTask({9, 5, 3.5, 3.4, 3.3}, 1.0, 3));
+  instance.add_task(MoldableTask({1.5, 1.0, 0.8}, 4.0));
+  const InstanceAllotments tables(instance);
+  EXPECT_TRUE(tables.table(0).strictly_monotone());
+  EXPECT_FALSE(tables.table(2).strictly_monotone());
+  EXPECT_FALSE(tables.table(3).strictly_monotone());
+
+  DualTestWorkspace ws;
+  DualTestResult fused;
+  bool saw_unreachable = false;
+  bool saw_multi_option = false;
+  bool saw_full_machine = false;
+  bool saw_feasible = false;
+  bool saw_rejected = false;
+  for (double lambda = 1.5; lambda <= 24.0; lambda *= 1.07) {
+    dual_test_into(instance, lambda, tables, ws, fused);
+    const DualTestResult ref = dual_test_reference(instance, lambda);
+    EXPECT_EQ(fused.feasible, ref.feasible) << "lambda " << lambda;
+    EXPECT_EQ(fused.total_work, ref.total_work) << "lambda " << lambda;
+    ASSERT_EQ(fused.assignment.size(), ref.assignment.size());
+    for (std::size_t i = 0; i < ref.assignment.size(); ++i) {
+      EXPECT_EQ(fused.assignment[i].shelf, ref.assignment[i].shelf);
+      EXPECT_EQ(fused.assignment[i].allotment, ref.assignment[i].allotment);
+    }
+    (fused.feasible ? saw_feasible : saw_rejected) = true;
+    // Coverage of the DP shapes the fused sweep must get right; only
+    // meaningful when every task met lambda and the DP ran (an early
+    // reject leaves the last option offset at 0).
+    if (ws.opt_begin.back() == 0) continue;
+    for (std::size_t i = 0; i + 1 < ws.opt_begin.size(); ++i) {
+      if (ws.opt_begin[i + 1] - ws.opt_begin[i] > 1) saw_multi_option = true;
+    }
+    if (ws.opt_procs[0] == m) saw_full_machine = true;
+    for (const std::int16_t p : ws.pick) {
+      if (p == -2) saw_unreachable = true;
+    }
+  }
+  EXPECT_TRUE(saw_feasible);
+  EXPECT_TRUE(saw_rejected);
+  EXPECT_TRUE(saw_multi_option);
+  EXPECT_TRUE(saw_full_machine);
+  EXPECT_TRUE(saw_unreachable);
+}
+
 }  // namespace
 }  // namespace moldsched
