@@ -1,8 +1,8 @@
 /// Streaming serving bench for the online path: verifies that arrivals fed
 /// chunk by chunk through AsyncScheduler streams reproduce the off-line
 /// batch simulator bit for bit — every placement, completion, batch
-/// boundary and metric — for shard counts {1, 2, 4} and both off-line
-/// plug-ins, with one-shot batch traffic interleaved (checked against the
+/// boundary and metric — for shard counts {1, 2, 4} and both built-in
+/// policies, with one-shot batch traffic interleaved (checked against the
 /// synchronous engine); sweeps feed-decision latency percentiles and
 /// arrival throughput over the shard counts on a mixed §5 workload
 /// (moldable + rigid + divisible); and counts steady-state heap
@@ -196,6 +196,8 @@ int main(int argc, char** argv) {
 
   DemtOptions demt_options;
   demt_options.shuffles = shuffles;
+  const DemtPolicy demt_policy(demt_options);
+  const FlatListPolicy flat_policy;
 
   std::cout << strfmt(
       "# online_stream: %d streams x %d jobs (m=%d), gap=%.2f, "
@@ -220,7 +222,7 @@ int main(int argc, char** argv) {
   std::vector<EngineRequest> oneshot_requests(oneshot_instances.size());
   for (std::size_t i = 0; i < oneshot_instances.size(); ++i) {
     oneshot_requests[i].instance = &oneshot_instances[i];
-    oneshot_requests[i].algorithm = EngineAlgorithm::FlatList;
+    oneshot_requests[i].policy = &flat_policy;
   }
 
   // --- determinism: streamed chunks vs the off-line reference ----------
@@ -239,9 +241,10 @@ int main(int argc, char** argv) {
     std::cout << strfmt("%-10s %-8s %10s %10s\n", "algorithm", "shards",
                         "streams", "one-shots");
     for (const bool flat : {true, false}) {
-      const EngineAlgorithm algorithm =
-          flat ? EngineAlgorithm::FlatList : EngineAlgorithm::Demt;
-      // Off-line oracle with the matching per-batch plug-in.
+      const SchedulingPolicy& policy =
+          flat ? static_cast<const SchedulingPolicy&>(flat_policy)
+               : demt_policy;
+      // Off-line oracle running the matching per-batch algorithm.
       const OfflineScheduler oracle_offline =
           flat ? OfflineScheduler([](const Instance& batch) {
               ListPassWorkspace list;
@@ -271,8 +274,7 @@ int main(int argc, char** argv) {
         for (int s = 0; s < num_streams; ++s) {
           StreamOptions stream_options;
           stream_options.m = m;
-          stream_options.offline_algorithm = algorithm;
-          stream_options.demt = demt_options;
+          stream_options.policy = &policy;
           streams.push_back(async.open_stream(stream_options));
         }
         // Feed chunks round-robin across streams, one-shots in between.
@@ -427,7 +429,7 @@ int main(int argc, char** argv) {
         std::vector<StreamTicket> streams;
         StreamOptions stream_options;
         stream_options.m = m;
-        stream_options.offline_algorithm = EngineAlgorithm::FlatList;
+        stream_options.policy = &flat_policy;
         for (int s = 0; s < num_streams; ++s) {
           streams.push_back(async.open_stream(stream_options));
         }
@@ -489,7 +491,7 @@ int main(int argc, char** argv) {
     }
     StreamOptions stream_options;
     stream_options.m = m;
-    stream_options.offline_algorithm = EngineAlgorithm::FlatList;
+    stream_options.policy = &flat_policy;
     StreamDelivery delivery;
     const auto round = [&] {
       const StreamTicket stream = async.open_stream(stream_options);

@@ -1,7 +1,7 @@
 /// Async serving bench for the submit/poll layer: verifies the async path
 /// is bit-identical to the synchronous SchedulerEngine for shard counts
-/// {1, 2, 4} — through both the deprecated enum spelling and the
-/// SchedulingPolicy-object API — sweeps throughput and submit-to-done
+/// {1, 2, 4} — on one lane and with priority lanes active — sweeps
+/// throughput and submit-to-done
 /// latency percentiles over the shard counts, exercises admission control
 /// (including weighted priority lanes: per-lane latency percentiles and a
 /// per-lane-capacity rejection report), and counts steady-state heap
@@ -102,7 +102,7 @@ feeds that deliver finalised batch decisions): with speculation the
 confirming feed only replays the staged decision, so its p99 drops.
 
 Exit status: non-zero when any async result differs from the synchronous
-reference (enum or policy-object path), when the chaos-smoke run loses,
+reference (one lane or lanes active), when the chaos-smoke run loses,
 duplicates, or mis-delivers a request or stream feed, when a --zipf
 cache gate fails (identity, hit rate, or hit-path allocations), when a
 --speculate gate fails (identity, speculation counters, or steady-state
@@ -212,15 +212,11 @@ int main(int argc, char** argv) {
   const FlatListPolicy flat_policy;
   std::vector<EngineRequest> demt_requests(instances.size());
   std::vector<EngineRequest> flat_requests(instances.size());
-  std::vector<EngineRequest> demt_policy_requests(instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
     demt_requests[i].instance = &instances[i];
-    demt_requests[i].algorithm = EngineAlgorithm::Demt;
-    demt_requests[i].demt = demt_options;
-    flat_requests[i] = demt_requests[i];
-    flat_requests[i].algorithm = EngineAlgorithm::FlatList;
-    demt_policy_requests[i].instance = &instances[i];
-    demt_policy_requests[i].policy = &demt_policy;
+    demt_requests[i].policy = &demt_policy;
+    flat_requests[i].instance = &instances[i];
+    flat_requests[i].policy = &flat_policy;
   }
 
   std::cout << strfmt(
@@ -231,14 +227,13 @@ int main(int argc, char** argv) {
 
   bool all_ok = true;
 
-  // --- determinism: async vs synchronous engine, schedules kept, via
-  // --- both the deprecated enum spelling and the policy-object API (the
-  // --- policy run also spreads submissions across the priority lanes:
-  // --- lanes must never change a result, only its timing) ------------
+  // --- determinism: async vs synchronous engine, schedules kept, on one
+  // --- lane and again with submissions spread across the priority lanes
+  // --- (lanes must never change a result, only its timing) -----------
   struct DeterminismRow {
     int shards = 0;
-    bool identical = true;        ///< enum adapter path
-    bool policy_identical = true; ///< SchedulingPolicy path, lanes active
+    bool identical = true;        ///< one lane
+    bool policy_identical = true; ///< priority lanes active
   };
   std::vector<DeterminismRow> determinism_rows;
   {
@@ -274,9 +269,9 @@ int main(int argc, char** argv) {
         options.admission = &lanes_admission;
         AsyncScheduler async(options);
         std::vector<Ticket> tickets;
-        tickets.reserve(demt_policy_requests.size());
-        for (std::size_t i = 0; i < demt_policy_requests.size(); ++i) {
-          tickets.push_back(async.submit(demt_policy_requests[i],
+        tickets.reserve(demt_requests.size());
+        for (std::size_t i = 0; i < demt_requests.size(); ++i) {
+          tickets.push_back(async.submit(demt_requests[i],
                                          static_cast<int>(i) % num_lanes));
         }
         async.drain();
@@ -580,6 +575,7 @@ int main(int argc, char** argv) {
     for (int s = 0; s < kChaosStreams; ++s) {
       StreamOptions stream_options;
       stream_options.m = m;
+      stream_options.policy = &flat_policy;
       chaos_streams.push_back(async.open_stream(stream_options));
       if (!chaos_streams.back().accepted()) chaos.streams_identical = false;
     }
@@ -975,8 +971,7 @@ int main(int argc, char** argv) {
                               std::vector<double>* decision_ms) {
       StreamOptions stream_options;
       stream_options.m = m;
-      stream_options.offline_algorithm = EngineAlgorithm::Demt;
-      stream_options.demt = demt_options;
+      stream_options.policy = &demt_policy;
       stream_options.speculate = speculate;
       const StreamTicket stream = async.open_stream(stream_options);
       if (!stream.accepted()) return false;

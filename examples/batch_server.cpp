@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/policy.hpp"
 #include "engine/engine.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
@@ -19,22 +20,31 @@
 #include "util/timer.hpp"
 #include "workloads/generators.hpp"
 
+namespace {
+
+void print_usage(std::FILE* out) {
+  std::fprintf(
+      out,
+      "batch_server -- serve waves of scheduling requests through the "
+      "SchedulerEngine\n\n"
+      "  --ticks N      waves to serve                [10]\n"
+      "  --wave N       requests per wave             [16]\n"
+      "  --n N          tasks per instance            [60]\n"
+      "  --m N          processors per instance       [32]\n"
+      "  --workers K    engine strands (0 = all pool) [0]\n"
+      "  --algorithm A  demt | flatlist               [demt]\n"
+      "  --seed S       RNG seed                      [1]\n"
+      "No JSON output; see bench/engine_throughput for the measured "
+      "BENCH_engine.json report.\n");
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace moldsched;
   const ArgParser args(argc, argv);
   if (args.help_requested()) {
-    std::printf(
-        "batch_server -- serve waves of scheduling requests through the "
-        "SchedulerEngine\n\n"
-        "  --ticks N      waves to serve                [10]\n"
-        "  --wave N       requests per wave             [16]\n"
-        "  --n N          tasks per instance            [60]\n"
-        "  --m N          processors per instance       [32]\n"
-        "  --workers K    engine strands (0 = all pool) [0]\n"
-        "  --algorithm A  demt | flatlist               [demt]\n"
-        "  --seed S       RNG seed                      [1]\n"
-        "No JSON output; see bench/engine_throughput for the measured "
-        "BENCH_engine.json report.\n");
+    print_usage(stdout);
     return 0;
   }
   const int ticks = static_cast<int>(args.get_int("ticks", 10));
@@ -43,9 +53,19 @@ int main(int argc, char** argv) {
   const int m = static_cast<int>(args.get_int("m", 32));
   const int workers = static_cast<int>(args.get_int("workers", 0));
   const std::string algorithm_name = args.get_string("algorithm", "demt");
-  const EngineAlgorithm algorithm = algorithm_name == "flatlist"
-                                        ? EngineAlgorithm::FlatList
-                                        : EngineAlgorithm::Demt;
+  const DemtPolicy demt_policy;
+  const FlatListPolicy flat_policy;
+  const SchedulingPolicy* policy = nullptr;
+  if (algorithm_name == "demt") {
+    policy = &demt_policy;
+  } else if (algorithm_name == "flatlist") {
+    policy = &flat_policy;
+  } else {
+    std::fprintf(stderr, "batch_server: unknown --algorithm '%s'\n\n",
+                 algorithm_name.c_str());
+    print_usage(stderr);
+    return 2;
+  }
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
 
   const std::vector<WorkloadFamily> families = {
@@ -75,7 +95,7 @@ int main(int argc, char** argv) {
     std::vector<EngineRequest> requests(instances.size());
     for (std::size_t i = 0; i < instances.size(); ++i) {
       requests[i].instance = &instances[i];
-      requests[i].algorithm = algorithm;
+      requests[i].policy = policy;
     }
 
     WallTimer timer;

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "core/policy.hpp"
 #include "serve/async_scheduler.hpp"
 #include "trace/tape.hpp"
 #include "util/cli.hpp"
@@ -33,28 +34,37 @@
 #include "util/timer.hpp"
 #include "workloads/generators.hpp"
 
+namespace {
+
+void print_usage(std::FILE* out) {
+  std::fprintf(
+      out,
+      "stream_server -- open-loop Poisson job-mix streams through the "
+      "async serving layer\n\n"
+      "  --streams K    concurrent client streams          [4]\n"
+      "  --arrivals N   arrivals per stream                [120]\n"
+      "  --m N          processors per stream machine      [32]\n"
+      "  --shards K     engine shards                      [2]\n"
+      "  --gap X        mean inter-arrival gap (Poisson)   [0.5]\n"
+      "  --window X     watermark window per feed          [2.0]\n"
+      "  --algorithm A  flatlist | demt                    [flatlist]\n"
+      "  --seed S       RNG seed                           [1]\n"
+      "  --trace F      replay an SWF log instead of the Poisson mix\n"
+      "                 (dealt round-robin across the streams)\n"
+      "  --scale X      trace clock compression (time_scale)  [1.0]\n"
+      "  --moldable     compile trace jobs as moldable Downey tasks\n"
+      "Streaming lifecycle and contracts: docs/ONLINE.md; trace\n"
+      "format and scaling knobs: docs/TRACES.md; measured numbers:\n"
+      "bench/online_stream (BENCH_online.json, docs/BENCHMARKS.md).\n");
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace moldsched;
   const ArgParser args(argc, argv);
   if (args.help_requested()) {
-    std::printf(
-        "stream_server -- open-loop Poisson job-mix streams through the "
-        "async serving layer\n\n"
-        "  --streams K    concurrent client streams          [4]\n"
-        "  --arrivals N   arrivals per stream                [120]\n"
-        "  --m N          processors per stream machine      [32]\n"
-        "  --shards K     engine shards                      [2]\n"
-        "  --gap X        mean inter-arrival gap (Poisson)   [0.5]\n"
-        "  --window X     watermark window per feed          [2.0]\n"
-        "  --algorithm A  flatlist | demt                    [flatlist]\n"
-        "  --seed S       RNG seed                           [1]\n"
-        "  --trace F      replay an SWF log instead of the Poisson mix\n"
-        "                 (dealt round-robin across the streams)\n"
-        "  --scale X      trace clock compression (time_scale)  [1.0]\n"
-        "  --moldable     compile trace jobs as moldable Downey tasks\n"
-        "Streaming lifecycle and contracts: docs/ONLINE.md; trace\n"
-        "format and scaling knobs: docs/TRACES.md; measured numbers:\n"
-        "bench/online_stream (BENCH_online.json, docs/BENCHMARKS.md).\n");
+    print_usage(stdout);
     return 0;
   }
   const int num_streams = static_cast<int>(args.get_int("streams", 4));
@@ -63,6 +73,19 @@ int main(int argc, char** argv) {
   int m = static_cast<int>(args.get_int("m", trace_path.empty() ? 32 : 0));
   const double mean_gap = args.get_double("gap", 0.5);
   const std::string algorithm_name = args.get_string("algorithm", "flatlist");
+  const DemtPolicy demt_policy;
+  const FlatListPolicy flat_policy;
+  const SchedulingPolicy* policy = nullptr;
+  if (algorithm_name == "demt") {
+    policy = &demt_policy;
+  } else if (algorithm_name == "flatlist") {
+    policy = &flat_policy;
+  } else {
+    std::fprintf(stderr, "stream_server: unknown --algorithm '%s'\n\n",
+                 algorithm_name.c_str());
+    print_usage(stderr);
+    return 2;
+  }
   AsyncOptions options;
   options.shards = static_cast<int>(args.get_int("shards", 2));
   options.max_streams = std::max(8, num_streams);
@@ -103,9 +126,7 @@ int main(int argc, char** argv) {
   std::vector<Client> clients(static_cast<std::size_t>(num_streams));
   StreamOptions stream_options;
   stream_options.m = m;
-  stream_options.offline_algorithm = algorithm_name == "demt"
-                                         ? EngineAlgorithm::Demt
-                                         : EngineAlgorithm::FlatList;
+  stream_options.policy = policy;
   if (!trace_path.empty()) {
     for (std::size_t i = 0; i < log_tape.arrivals.size(); ++i) {
       Client& client = clients[i % clients.size()];

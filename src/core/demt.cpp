@@ -358,7 +358,6 @@ void demt_schedule_into(const Instance& instance, const DemtOptions& options,
   ws.tables.build(instance);
 
   // 1. Dual-approximation makespan estimate and the geometric grid.
-  ws.dual.warm.enabled = options.warm_dual_start;
   estimate_cmax_into(instance, options.dual_eps, ws.tables, ws.dual,
                      ws.estimate);
   const TimeGrid grid(ws.estimate.estimate, ws.tables.tmin());

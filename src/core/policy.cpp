@@ -94,10 +94,8 @@ const void* DemtPolicy::workspace_key() const noexcept {
 }
 
 std::uint64_t DemtPolicy::cache_key() const noexcept {
-  // Every schedule-affecting option, by value. shuffle_workers and
-  // warm_dual_start stay out: the shuffle engine is bit-identical for any
-  // worker count, and the warm-started bisection only changes how many
-  // dual tests run, never the schedule.
+  // Every schedule-affecting option, by value. shuffle_workers stays out:
+  // the shuffle engine is bit-identical for any worker count.
   std::uint64_t h = 0x44454D5450434B59ULL;  // class tag ("DEMTPCKY")
   h = mix_key(h, options_.dual_eps);
   h = mix_key(h, static_cast<std::uint64_t>(options_.merge_small_tasks));

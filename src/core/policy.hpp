@@ -6,7 +6,8 @@
 /// object: one small-vtable interface every entry point of the library
 /// consumes (`SchedulerEngine` off-line batches, the on-line simulator,
 /// `OnlineStream` feeds, and the async serving layer all take a
-/// `const SchedulingPolicy&`), instead of a hard-coded algorithm enum.
+/// `const SchedulingPolicy&`). It is the library's only way to hand over a
+/// per-batch algorithm.
 ///
 /// A policy is an immutable algorithm description (options frozen at
 /// construction) plus a workspace factory: `make_workspace()` creates the
@@ -22,10 +23,7 @@
 /// the allocation-free serving baseline). A third baseline,
 /// `LptRigidPolicy`, lives with the paper baselines
 /// (baselines/lpt_policy.hpp) as proof the extension point needs no
-/// engine/serve changes. The legacy `EngineAlgorithm` enum + `DemtOptions`
-/// pair on requests remains as a deprecated adapter: the engine resolves
-/// it to the matching built-in policy, so both spellings are bit-identical
-/// (regression-gated by tests/test_policy.cpp).
+/// engine/serve changes.
 ///
 /// Writing a policy:
 ///  1. subclass PolicyWorkspace with whatever scratch the algorithm reuses
@@ -34,9 +32,10 @@
 ///     workspace argument to the type `make_workspace` returned;
 ///  3. override `workspace_key()` with a per-class tag when workspaces of
 ///     different instances are interchangeable (true whenever the
-///     workspace carries no per-instance state) so pooled workspaces are
-///     shared across temporaries — the built-ins do this, which is what
-///     keeps the deprecated enum adapters allocation-free.
+///     workspace carries no per-instance state) so a strand pools one
+///     workspace for every instance of the class — the built-ins do this,
+///     so differently-configured DemtPolicy objects share one DemtWorkspace
+///     per strand.
 
 #pragma once
 
@@ -95,9 +94,8 @@ class SchedulingPolicy {
   /// Pooling identity: callers share one pooled workspace among all
   /// policies returning the same key. Default = `this` (per-instance,
   /// always safe). Override with a per-class tag when any instance's
-  /// workspace serves any other instance of the class — required for the
-  /// engine's deprecated enum adapters (stack-constructed per request) to
-  /// stay allocation-free.
+  /// workspace serves any other instance of the class, so policies built
+  /// per request or per option set do not each grow the strand's pool.
   [[nodiscard]] virtual const void* workspace_key() const noexcept;
 
   /// Decision-cache identity (core/decision_cache.hpp). 0 — the default —
@@ -163,7 +161,7 @@ void fill_min_work_jobs(const Instance& instance, ListPassWorkspace& list);
 /// The FlatList algorithm as a free function: give every task its min-work
 /// allotment, order by Smith ratio (weight/duration decreasing, task id
 /// tie-break), run one allocation-free list pass into `out`. FlatListPolicy
-/// wraps this; exposed for tests and direct flat plug-in use.
+/// wraps this; exposed for tests and custom policies that reuse it.
 void flat_list_schedule(const Instance& instance, ListPassWorkspace& list,
                         FlatPlacements& out);
 

@@ -40,10 +40,11 @@ struct FlatPlacements {
   void reset(int num_entries);
 
   /// Copy a Schedule into the flat form, reusing buffer capacity (the
-  /// bridge the online simulator and the engine use to run Schedule-based
-  /// plug-ins on the flat path). Unassigned tasks stay unassigned entries;
-  /// every double is copied verbatim, so metrics computed on the flat copy
-  /// are bit-identical to the Schedule's own.
+  /// bridge that runs Schedule-based code on the flat path, e.g. the
+  /// online simulator's Schedule-returning off-line schedulers).
+  /// Unassigned tasks stay unassigned entries; every double is copied
+  /// verbatim, so metrics computed on the flat copy are bit-identical to
+  /// the Schedule's own.
   void assign_from(const Schedule& schedule);
 
   [[nodiscard]] int size() const noexcept {

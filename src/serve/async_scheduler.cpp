@@ -60,12 +60,33 @@ AsyncOptions validated(AsyncOptions options) {
   return options;
 }
 
-/// Policy label for error messages: the configured policy object's name,
-/// or the built-in the deprecated enum pair resolves to.
-[[nodiscard]] const char* policy_name(const SchedulingPolicy* policy,
-                                      EngineAlgorithm algorithm) noexcept {
-  if (policy != nullptr) return policy->name();
-  return algorithm == EngineAlgorithm::Demt ? "demt" : "flatlist";
+/// Reject a request no shard could serve. Runs before the admission
+/// classifier, which may read the request's instance and policy.
+void check_request(const EngineRequest& request) {
+  if (request.instance == nullptr) {
+    throw std::invalid_argument("AsyncScheduler: request without instance");
+  }
+  if (request.policy == nullptr) {
+    throw std::invalid_argument("AsyncScheduler: request without policy");
+  }
+}
+
+/// Reject a stream configuration no shard could open; runs before
+/// classify_stream, like check_request.
+void check_stream_options(const StreamOptions& options) {
+  if (options.m < 1) {
+    throw std::invalid_argument("AsyncScheduler: stream m < 1");
+  }
+  if (options.policy == nullptr) {
+    throw std::invalid_argument("AsyncScheduler: stream without policy");
+  }
+  if (options.reservations != nullptr) {
+    for (const auto& r : *options.reservations) {
+      if (r.proc < 0 || r.proc >= options.m || !(r.finish > r.start)) {
+        throw std::invalid_argument("AsyncScheduler: bad stream reservation");
+      }
+    }
+  }
 }
 
 /// Copy (and validate) the admission policy's lane table; no policy means
@@ -158,8 +179,6 @@ struct AsyncScheduler::Impl {
     std::atomic<std::uint64_t> ticket{0};
     std::atomic<std::uint32_t> shard{0};
     int m = 1;
-    EngineAlgorithm offline_algorithm = EngineAlgorithm::FlatList;
-    DemtOptions demt;
     const SchedulingPolicy* policy = nullptr;   ///< borrowed while open
     bool speculate = false;  ///< StreamOptions::speculate, applied at open
     int speculate_depth = 0;  ///< StreamOptions::speculate_depth
@@ -617,8 +636,7 @@ struct AsyncScheduler::Impl {
         slot.result.has_schedule = false;
         slot.result.diag = DemtDiagnostics{};
         slot.error += " (policy: ";
-        slot.error += policy_name(slot.request.policy,
-                                  slot.request.algorithm);
+        slot.error += slot.request.policy->name();
         if (tried > 1) {
           slot.error += ", attempts: ";
           slot.error += std::to_string(tried);
@@ -668,8 +686,6 @@ struct AsyncScheduler::Impl {
         StreamConfig config;
         config.m = entry.m;
         config.reservations = &entry.reservations;
-        config.offline_algorithm = entry.offline_algorithm;
-        config.demt = entry.demt;
         config.policy = entry.policy;
         config.speculate = entry.speculate;
         config.speculate_depth = entry.speculate_depth;
@@ -702,7 +718,7 @@ struct AsyncScheduler::Impl {
     if (failed && owns_entry) {
       // Entry fields are safe to read only while we own the entry.
       slot.error += " (policy: ";
-      slot.error += policy_name(entry.policy, entry.offline_algorithm);
+      slot.error += entry.policy->name();
       slot.error += ")";
     }
     if (slot.kind == SlotKind::StreamClose && owns_entry) {
@@ -1108,6 +1124,7 @@ AsyncScheduler::~AsyncScheduler() {
 
 Ticket AsyncScheduler::submit(const EngineRequest& request) {
   const Impl& im = *impl_;
+  check_request(request);
   return submit(request, im.options.admission != nullptr
                              ? im.options.admission->classify(request)
                              : 0);
@@ -1115,9 +1132,7 @@ Ticket AsyncScheduler::submit(const EngineRequest& request) {
 
 Ticket AsyncScheduler::submit(const EngineRequest& request, int lane) {
   Impl& im = *impl_;
-  if (request.instance == nullptr) {
-    throw std::invalid_argument("AsyncScheduler: request without instance");
-  }
+  check_request(request);
   const std::uint32_t lane_index = im.clamp_lane(lane);
   if (im.stopping.load(std::memory_order_acquire)) {
     return im.reject(lane_index);
@@ -1147,6 +1162,7 @@ const LaneSpec& AsyncScheduler::lane_spec(int lane) const {
 
 StreamTicket AsyncScheduler::open_stream(const StreamOptions& options) {
   const Impl& im = *impl_;
+  check_stream_options(options);
   return open_stream(options,
                      im.options.admission != nullptr
                          ? im.options.admission->classify_stream(options)
@@ -1156,16 +1172,7 @@ StreamTicket AsyncScheduler::open_stream(const StreamOptions& options) {
 StreamTicket AsyncScheduler::open_stream(const StreamOptions& options,
                                          int lane) {
   Impl& im = *impl_;
-  if (options.m < 1) {
-    throw std::invalid_argument("AsyncScheduler: stream m < 1");
-  }
-  if (options.reservations != nullptr) {
-    for (const auto& r : *options.reservations) {
-      if (r.proc < 0 || r.proc >= options.m || !(r.finish > r.start)) {
-        throw std::invalid_argument("AsyncScheduler: bad stream reservation");
-      }
-    }
-  }
+  check_stream_options(options);
   if (im.stopping.load(std::memory_order_acquire)) {
     im.stat_stream_rejected.fetch_add(1, std::memory_order_relaxed);
     return StreamTicket{};
@@ -1181,8 +1188,6 @@ StreamTicket AsyncScheduler::open_stream(const StreamOptions& options,
   entry.shard.store(im.route_one_shot(id), std::memory_order_relaxed);
   entry.has_checkpoint = false;  // recycled entries carry no stale image
   entry.m = options.m;
-  entry.offline_algorithm = options.offline_algorithm;
-  entry.demt = options.demt;
   entry.policy = options.policy;
   entry.speculate = options.speculate;
   entry.speculate_depth = options.speculate_depth;

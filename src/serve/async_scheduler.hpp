@@ -209,16 +209,13 @@ struct AsyncStats {
 };
 
 /// Per-stream configuration for open_stream. The reservations vector is
-/// copied at open; everything else is plain data (the policy, when set,
-/// is borrowed for the stream's whole life).
+/// copied at open; everything else is plain data (the policy is borrowed
+/// for the stream's whole life).
 struct StreamOptions {
   int m = 1;                  ///< machine size the stream schedules onto
   const std::vector<NodeReservation>* reservations = nullptr;
-  /// Deprecated adapter pair, used only while `policy == nullptr`.
-  EngineAlgorithm offline_algorithm = EngineAlgorithm::FlatList;
-  DemtOptions demt;           ///< options when offline_algorithm == Demt
   /// Per-batch off-line policy of every decision this stream makes;
-  /// overrides the enum pair when set.
+  /// required.
   const SchedulingPolicy* policy = nullptr;
   /// Decide batches speculatively ahead of the watermark (see
   /// OnlineStream::set_speculate). Off by default; deliveries are
@@ -257,9 +254,9 @@ class AsyncScheduler {
   /// (classify; lane 0 without a policy). Returns a rejected Ticket
   /// (accepted() == false) when queue_capacity requests are already in
   /// flight or the lane's own queue_capacity is. The request is copied;
-  /// the Instance (and SchedulingPolicy, when set) it points at is
-  /// borrowed and must stay alive until the ticket is terminal. Throws
-  /// std::invalid_argument on a request without an instance.
+  /// the Instance and SchedulingPolicy it points at are borrowed and must
+  /// stay alive until the ticket is terminal. Throws std::invalid_argument
+  /// on a request without an instance or without a policy.
   [[nodiscard]] Ticket submit(const EngineRequest& request);
 
   /// Same, naming the admission lane explicitly (clamped to the lane
@@ -310,7 +307,7 @@ class AsyncScheduler {
   /// admission policy picks (classify_stream). Non-blocking: returns a
   /// rejected StreamTicket when max_streams sessions are open or the
   /// scheduler is stopping. Throws std::invalid_argument on a bad
-  /// configuration (m < 1, bad reservation).
+  /// configuration (m < 1, no policy, bad reservation).
   [[nodiscard]] StreamTicket open_stream(const StreamOptions& options);
 
   /// Same, naming the stream's admission lane explicitly (clamped).

@@ -142,8 +142,8 @@ void OnlineStream::append_batch_job(const StreamArrival& arrival) {
 }
 
 void OnlineStream::feed(const StreamArrival* arrivals, std::size_t count,
-                        double watermark, const FlatOfflineScheduler& offline,
-                        StreamDelivery& out) {
+                        double watermark, const SchedulingPolicy& policy,
+                        PolicyWorkspace& policy_ws, StreamDelivery& out) {
   out.clear();
   if (!open_ || finished_) {
     throw std::logic_error("OnlineStream: stream is not open");
@@ -205,23 +205,12 @@ void OnlineStream::feed(const StreamArrival* arrivals, std::size_t count,
     }
   }
   watermark_ = watermark;
-  advance(false, offline, out);
-  if (speculate_) speculate_ahead(offline);
-}
-
-void OnlineStream::feed(const StreamArrival* arrivals, std::size_t count,
-                        double watermark, const SchedulingPolicy& policy,
-                        PolicyWorkspace& policy_ws, StreamDelivery& out) {
-  feed(arrivals, count, watermark, policy_offline(policy, policy_ws), out);
+  advance(false, policy, policy_ws, out);
+  if (speculate_) speculate_ahead(policy, policy_ws);
 }
 
 void OnlineStream::finish(const SchedulingPolicy& policy,
                           PolicyWorkspace& policy_ws, StreamDelivery& out) {
-  finish(policy_offline(policy, policy_ws), out);
-}
-
-void OnlineStream::finish(const FlatOfflineScheduler& offline,
-                          StreamDelivery& out) {
   out.clear();
   out.final_delivery = true;
   if (!open_ || finished_) {
@@ -230,11 +219,11 @@ void OnlineStream::finish(const FlatOfflineScheduler& offline,
   finished_ = true;
   if (broken_) return;  // close quietly; state is unusable anyway
   watermark_ = std::numeric_limits<double>::infinity();
-  advance(true, offline, out);
+  advance(true, policy, policy_ws, out);
 }
 
-void OnlineStream::advance(bool finishing, const FlatOfflineScheduler& offline,
-                           StreamDelivery& out) {
+void OnlineStream::advance(bool finishing, const SchedulingPolicy& policy,
+                           PolicyWorkspace& policy_ws, StreamDelivery& out) {
   const std::size_t first = next_;
   const std::size_t starts_mark = result_.batch_starts.size();
   try {
@@ -269,8 +258,8 @@ void OnlineStream::advance(bool finishing, const FlatOfflineScheduler& offline,
           ++next_;
         }
         now_ = open_time;
-        online_decide_batch(m_, jobs_.data(), reservations_, offline, ws_,
-                            now_, result_);
+        online_decide_batch(m_, jobs_.data(), reservations_, policy,
+                            policy_ws, ws_, now_, result_);
         const double opened = result_.batch_starts.back();
         fill_batch_divisible(opened, now_ - opened, out);
       }
@@ -435,7 +424,8 @@ void OnlineStream::commit_record(const SpecRecord& rec, StreamDelivery& out) {
   ++spec_committed_;
 }
 
-void OnlineStream::speculate_ahead(const FlatOfflineScheduler& offline) {
+void OnlineStream::speculate_ahead(const SchedulingPolicy& policy,
+                                   PolicyWorkspace& policy_ws) {
   std::size_t spec_next =
       spec_head_ < spec_count_ ? spec_pool_[spec_count_ - 1].last_job : next_;
   if (spec_next >= jobs_live_) return;
@@ -481,8 +471,8 @@ void OnlineStream::speculate_ahead(const FlatOfflineScheduler& offline) {
         ++last;
       }
       double spec_clock = member_open;
-      online_settle_batch(m_, jobs_.data(), reservations_, offline, ws_,
-                          spec_clock);
+      online_settle_batch(m_, jobs_.data(), reservations_, policy, policy_ws,
+                          ws_, spec_clock);
       if (spec_count_ >= spec_pool_.size()) spec_pool_.emplace_back();
       SpecRecord& rec = spec_pool_[spec_count_];
       rec.first_job = spec_next;

@@ -38,7 +38,7 @@
 ///
 /// Error contract: feed() validates the watermark and every arrival
 /// *before* mutating any state — a throwing feed leaves the stream exactly
-/// as it was. An error thrown mid-decision (from the off-line plug-in or a
+/// as it was. An error thrown mid-decision (from the per-batch policy or a
 /// job that cannot fit the reduced machine) marks the stream broken;
 /// further feeds throw, and finish() closes it quietly with an empty final
 /// delivery.
@@ -61,7 +61,7 @@ struct StreamCheckpoint;  // sim/checkpoint.hpp
 
 /// The three job types of the paper's §5 mix.
 enum class ArrivalKind {
-  Moldable,   ///< allotment chosen by the off-line plug-in
+  Moldable,   ///< allotment chosen by the per-batch policy
   Rigid,      ///< fixed allotment (min_procs == max_procs)
   Divisible,  ///< bag of work, split arbitrarily into idle holes
 };
@@ -129,27 +129,20 @@ class OnlineStream {
   /// Feed `count` arrivals and advance the watermark. Arrival releases
   /// must be non-decreasing, >= the previous watermark, and <= the new
   /// one; the watermark must not move backwards. Decisions that became
-  /// final are written into `out` (cleared first). Throws
-  /// std::invalid_argument on a contract violation (state untouched) and
-  /// std::logic_error on a closed/broken stream.
-  void feed(const StreamArrival* arrivals, std::size_t count,
-            double watermark, const FlatOfflineScheduler& offline,
-            StreamDelivery& out);
-
-  /// Policy form of feed: every batch decision runs `policy.schedule_into`
-  /// inside `policy_ws` (a workspace the policy made; one per stream
-  /// strand). Bit-identical to the plug-in form, allocation-free beyond
-  /// what the policy itself allocates.
+  /// final are written into `out` (cleared first). Every batch decision
+  /// runs `policy.schedule_into` inside `policy_ws` (a workspace the policy
+  /// made; one per stream strand) and allocates nothing beyond what the
+  /// policy itself allocates. Throws std::invalid_argument on a contract
+  /// violation (state untouched) and std::logic_error on a closed/broken
+  /// stream.
   void feed(const StreamArrival* arrivals, std::size_t count,
             double watermark, const SchedulingPolicy& policy,
             PolicyWorkspace& policy_ws, StreamDelivery& out);
 
-  /// Close the stream: decide every remaining batch, drain leftover
-  /// divisible work, and deliver with final_delivery == true. A broken
-  /// stream closes quietly with an empty final delivery.
-  void finish(const FlatOfflineScheduler& offline, StreamDelivery& out);
-
-  /// Policy form of finish (see the policy feed overload).
+  /// Close the stream: decide every remaining batch (under `policy`, as
+  /// feed does), drain leftover divisible work, and deliver with
+  /// final_delivery == true. A broken stream closes quietly with an empty
+  /// final delivery.
   void finish(const SchedulingPolicy& policy, PolicyWorkspace& policy_ws,
               StreamDelivery& out);
 
@@ -265,14 +258,15 @@ class OnlineStream {
   };
 
   void append_batch_job(const StreamArrival& arrival);
-  void advance(bool finishing, const FlatOfflineScheduler& offline,
-               StreamDelivery& out);
+  void advance(bool finishing, const SchedulingPolicy& policy,
+               PolicyWorkspace& policy_ws, StreamDelivery& out);
   void fill_batch_divisible(double open_time, double horizon,
                             StreamDelivery& out);
   void drain_divisible(StreamDelivery& out);
   void collect_divisible_candidates(double open_time);
   void settle_fill(double open_time, StreamDelivery& out);
-  void speculate_ahead(const FlatOfflineScheduler& offline);
+  void speculate_ahead(const SchedulingPolicy& policy,
+                       PolicyWorkspace& policy_ws);
   void stage_fill(SpecRecord& rec);
   void commit_record(const SpecRecord& rec, StreamDelivery& out);
   void invalidate_speculation(const StreamArrival* arrivals,

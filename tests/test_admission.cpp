@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/policy.hpp"
 #include "engine/engine.hpp"
 #include "serve/admission.hpp"
 #include "serve/async_scheduler.hpp"
@@ -17,6 +18,9 @@
 
 namespace moldsched {
 namespace {
+
+const DemtPolicy kDemt;
+const FlatListPolicy kFlatList;
 
 std::vector<Instance> make_instances(int count, int n, int m,
                                      std::uint64_t seed) {
@@ -61,7 +65,7 @@ TEST(Admission, ExplicitLaneTagsTicketsAndStats) {
   const auto instances = make_instances(1, 15, 8, 3);
   EngineRequest request;
   request.instance = &instances[0];
-  request.algorithm = EngineAlgorithm::FlatList;
+  request.policy = &kFlatList;
 
   const WeightedLanesAdmission admission(two_lanes(3, 1));
   AsyncOptions options;
@@ -99,7 +103,7 @@ TEST(Admission, PerLaneCapacityRejectsAndRecovers) {
   const auto instances = make_instances(1, 15, 8, 5);
   EngineRequest request;
   request.instance = &instances[0];
-  request.algorithm = EngineAlgorithm::FlatList;
+  request.policy = &kFlatList;
 
   const WeightedLanesAdmission admission(two_lanes(1, 1, /*high_cap=*/0,
                                                    /*low_cap=*/2));
@@ -147,12 +151,14 @@ TEST(Admission, WeightedFairServiceFavoursTheHeavyLane) {
   // re-pops, every later batch takes ~3 high for every 1 low — the last
   // high-lane request must finish before the last low-lane one.
   const auto instances = make_instances(1, 60, 24, 7);
+  DemtOptions thorough;
+  thorough.shuffles = 64;  // keep the strand busy while queues load
+  const DemtPolicy thorough_policy(thorough);
   EngineRequest slow;
   slow.instance = &instances[0];
-  slow.algorithm = EngineAlgorithm::Demt;
-  slow.demt.shuffles = 64;  // keep the strand busy while queues load
+  slow.policy = &thorough_policy;
   EngineRequest fast = slow;
-  fast.algorithm = EngineAlgorithm::FlatList;
+  fast.policy = &kFlatList;
 
   const WeightedLanesAdmission admission(two_lanes(3, 1));
   AsyncOptions options;
@@ -215,6 +221,7 @@ TEST(Admission, StreamsRideTheirLaneAndStayOrdered) {
   AsyncScheduler async(options);
 
   StreamOptions stream_options;
+  stream_options.policy = &kFlatList;
   stream_options.m = m;
   const StreamTicket stream = async.open_stream(stream_options, 1);
   ASSERT_TRUE(stream.accepted());
@@ -262,7 +269,7 @@ TEST(Admission, ClassifierRoutesByContent) {
     }
     [[nodiscard]] int classify(
         const EngineRequest& request) const noexcept override {
-      return request.algorithm == EngineAlgorithm::Demt ? 1 : 0;
+      return request.policy == &kDemt ? 1 : 0;
     }
   };
   const auto instances = make_instances(1, 12, 8, 9);
@@ -274,9 +281,9 @@ TEST(Admission, ClassifierRoutesByContent) {
 
   EngineRequest fast;
   fast.instance = &instances[0];
-  fast.algorithm = EngineAlgorithm::FlatList;
+  fast.policy = &kFlatList;
   EngineRequest slow = fast;
-  slow.algorithm = EngineAlgorithm::Demt;
+  slow.policy = &kDemt;
   const Ticket a = async.submit(fast);
   const Ticket b = async.submit(slow);
   EXPECT_EQ(a.lane, 0u);
@@ -322,7 +329,7 @@ TEST(Admission, SingleLaneBehaviourMatchesPrePolicyScheduler) {
   std::vector<EngineRequest> requests(instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
     requests[i].instance = &instances[i];
-    requests[i].algorithm = EngineAlgorithm::FlatList;
+    requests[i].policy = &kFlatList;
   }
   SchedulerEngine sync(EngineOptions{1, false});
   std::vector<EngineResult> reference;
@@ -368,6 +375,7 @@ TEST(Admission, FailedStreamFeedKeepsLaneTagAndNamesPolicy) {
   AsyncScheduler async(options);
 
   StreamOptions stream_options;
+  stream_options.policy = &kFlatList;
   stream_options.m = m;
   const StreamTicket stream = async.open_stream(stream_options, 1);
   ASSERT_TRUE(stream.accepted());

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/demt.hpp"
+#include "core/policy.hpp"
 #include "engine/engine.hpp"
 #include "sched/validator.hpp"
 #include "sim/online.hpp"
@@ -15,6 +16,9 @@
 
 namespace moldsched {
 namespace {
+
+const DemtPolicy kDemt;
+const FlatListPolicy kFlatList;
 
 std::vector<Instance> make_instances(int count, int n, int m,
                                      std::uint64_t seed) {
@@ -45,16 +49,15 @@ TEST(Engine, DeterministicAcrossWorkerCounts) {
   const auto instances = make_instances(6, 40, 16, 20040627);
   DemtOptions demt;
   demt.shuffles = 8;
+  const DemtPolicy policy(demt);
 
   SchedulerEngine sequential(EngineOptions{1, true});
-  const auto base = sequential.schedule_all(instances,
-                                            EngineAlgorithm::Demt, demt);
+  const auto base = sequential.schedule_all(instances, policy);
   ASSERT_EQ(base.size(), instances.size());
 
   for (int workers : {2, 4, 0}) {
     SchedulerEngine engine(EngineOptions{workers, true});
-    const auto results =
-        engine.schedule_all(instances, EngineAlgorithm::Demt, demt);
+    const auto results = engine.schedule_all(instances, policy);
     ASSERT_EQ(results.size(), base.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
       EXPECT_EQ(results[i].cmax, base[i].cmax) << "workers=" << workers;
@@ -69,7 +72,7 @@ TEST(Engine, DeterministicAcrossWorkerCounts) {
 TEST(Engine, MatchesDirectDemtCalls) {
   const auto instances = make_instances(4, 30, 12, 42);
   SchedulerEngine engine(EngineOptions{0, true});
-  const auto results = engine.schedule_all(instances);
+  const auto results = engine.schedule_all(instances, kDemt);
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const auto direct = demt_schedule(instances[i]);
     expect_identical(results[i].schedule, direct.schedule);
@@ -83,11 +86,9 @@ TEST(Engine, MatchesDirectDemtCalls) {
 TEST(Engine, FlatListIsFeasibleAndDeterministic) {
   const auto instances = make_instances(5, 50, 16, 7);
   SchedulerEngine engine(EngineOptions{1, true});
-  const auto first =
-      engine.schedule_all(instances, EngineAlgorithm::FlatList);
+  const auto first = engine.schedule_all(instances, kFlatList);
   SchedulerEngine parallel(EngineOptions{0, true});
-  const auto second =
-      parallel.schedule_all(instances, EngineAlgorithm::FlatList);
+  const auto second = parallel.schedule_all(instances, kFlatList);
   for (std::size_t i = 0; i < instances.size(); ++i) {
     require_valid(first[i].schedule, instances[i]);
     expect_identical(first[i].schedule, second[i].schedule);
@@ -101,9 +102,10 @@ TEST(Engine, MetricsOnlyModeMatchesScheduleMode) {
   const auto instances = make_instances(4, 35, 12, 9);
   SchedulerEngine with_schedules(EngineOptions{1, true});
   SchedulerEngine metrics_only(EngineOptions{1, false});
-  for (auto algorithm : {EngineAlgorithm::Demt, EngineAlgorithm::FlatList}) {
-    const auto full = with_schedules.schedule_all(instances, algorithm);
-    const auto lean = metrics_only.schedule_all(instances, algorithm);
+  const SchedulingPolicy* const policies[] = {&kDemt, &kFlatList};
+  for (const SchedulingPolicy* policy : policies) {
+    const auto full = with_schedules.schedule_all(instances, *policy);
+    const auto lean = metrics_only.schedule_all(instances, *policy);
     for (std::size_t i = 0; i < instances.size(); ++i) {
       EXPECT_TRUE(full[i].has_schedule);
       EXPECT_FALSE(lean[i].has_schedule);
@@ -118,9 +120,10 @@ TEST(Engine, WorkspaceReuseAcrossBatchesIsStateless) {
   const auto big = make_instances(4, 45, 16, 11);
   const auto small = make_instances(4, 10, 8, 13);
   SchedulerEngine engine(EngineOptions{1, true});
-  const auto base = engine.schedule_all(big);
-  (void)engine.schedule_all(small);  // shrink then regrow the workspaces
-  const auto again = engine.schedule_all(big);
+  const auto base = engine.schedule_all(big, kDemt);
+  // Shrink, then regrow the workspaces.
+  (void)engine.schedule_all(small, kDemt);
+  const auto again = engine.schedule_all(big, kDemt);
   for (std::size_t i = 0; i < big.size(); ++i) {
     expect_identical(again[i].schedule, base[i].schedule);
   }
@@ -142,7 +145,7 @@ TEST(Engine, OnlineSimulationMatchesDirectPath) {
   for (std::size_t i = 0; i < streams.size(); ++i) {
     requests[i].m = m;
     requests[i].jobs = &streams[i];
-    requests[i].offline_algorithm = EngineAlgorithm::Demt;
+    requests[i].policy = &kDemt;
   }
 
   SchedulerEngine sequential(EngineOptions{1, true});
@@ -177,8 +180,8 @@ TEST(Engine, StatsCountRequestsAndBatches) {
   const auto instances = make_instances(3, 15, 8, 21);
   SchedulerEngine engine(EngineOptions{1, true});
   EXPECT_EQ(engine.stats().requests, 0u);
-  (void)engine.schedule_all(instances);
-  (void)engine.schedule_all(instances);
+  (void)engine.schedule_all(instances, kDemt);
+  (void)engine.schedule_all(instances, kDemt);
   EXPECT_EQ(engine.stats().requests, 2 * instances.size());
   EXPECT_EQ(engine.stats().batches, 2u);
   EXPECT_EQ(engine.stats().strands_last_batch, 1);
@@ -202,7 +205,7 @@ TEST(Engine, SingleRequestBatchMatchesDirectCall) {
   const auto instances = make_instances(1, 25, 12, 23);
   for (int workers : {1, 0}) {
     SchedulerEngine engine(EngineOptions{workers, true});
-    const auto results = engine.schedule_all(instances);
+    const auto results = engine.schedule_all(instances, kDemt);
     ASSERT_EQ(results.size(), 1u);
     const auto direct = demt_schedule(instances[0]);
     EXPECT_EQ(results[0].cmax, direct.schedule.cmax());
@@ -218,8 +221,9 @@ TEST(Engine, RawPointerBatchHookMatchesVectorOverload) {
   std::vector<EngineRequest> requests(instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
     requests[i].instance = &instances[i];
-    requests[i].algorithm =
-        i % 2 == 0 ? EngineAlgorithm::Demt : EngineAlgorithm::FlatList;
+    requests[i].policy = i % 2 == 0
+                             ? static_cast<const SchedulingPolicy*>(&kDemt)
+                             : &kFlatList;
   }
   SchedulerEngine vector_engine(EngineOptions{1, true});
   std::vector<EngineResult> expected;

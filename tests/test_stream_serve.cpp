@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/policy.hpp"
 #include "engine/engine.hpp"
 #include "serve/async_scheduler.hpp"
 #include "sim/online.hpp"
@@ -21,6 +22,8 @@
 
 namespace moldsched {
 namespace {
+
+const FlatListPolicy kFlatList;
 
 std::vector<OnlineJob> make_jobs(int count, int m, std::uint64_t seed) {
   Rng rng(seed);
@@ -113,6 +116,7 @@ TEST(StreamServe, OrderedDeliveryUnderConcurrentFlushes) {
   });
 
   StreamOptions stream_options;
+  stream_options.policy = &kFlatList;
   stream_options.m = m;
   const StreamTicket stream = async.open_stream(stream_options);
   ASSERT_TRUE(stream.accepted());
@@ -155,7 +159,7 @@ TEST(StreamServe, StreamsAndOneShotsInterleaveDeterministically) {
   std::vector<EngineRequest> requests(instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
     requests[i].instance = &instances[i];
-    requests[i].algorithm = EngineAlgorithm::FlatList;
+    requests[i].policy = &kFlatList;
   }
   SchedulerEngine sync(EngineOptions{1, false});
   std::vector<EngineResult> oneshot_reference;
@@ -168,6 +172,7 @@ TEST(StreamServe, StreamsAndOneShotsInterleaveDeterministically) {
     options.flush_after_ms = 0.2;
     AsyncScheduler async(options);
     StreamOptions stream_options;
+    stream_options.policy = &kFlatList;
     stream_options.m = m;
 
     std::vector<StreamTicket> streams;
@@ -224,6 +229,7 @@ TEST(StreamServe, FeedsShareTheAdmissionSlotTable) {
   options.flush_after_ms = 0.1;
   AsyncScheduler async(options);
   StreamOptions stream_options;
+  stream_options.policy = &kFlatList;
   stream_options.m = m;
   const StreamTicket stream = async.open_stream(stream_options);
 
@@ -265,6 +271,7 @@ TEST(StreamServe, StreamTableBoundsAndRecycles) {
   options.max_streams = 2;
   AsyncScheduler async(options);
   StreamOptions stream_options;
+  stream_options.policy = &kFlatList;
   stream_options.m = 4;
   const StreamTicket a = async.open_stream(stream_options);
   const StreamTicket b = async.open_stream(stream_options);
@@ -297,6 +304,7 @@ TEST(StreamServe, FailedFeedLeavesStreamUsable) {
   options.shards = 1;
   AsyncScheduler async(options);
   StreamOptions stream_options;
+  stream_options.policy = &kFlatList;
   stream_options.m = m;
   const StreamTicket stream = async.open_stream(stream_options);
 
@@ -345,10 +353,11 @@ TEST(StreamServe, TakeKindsDoNotCross) {
   AsyncScheduler async(options);
   EngineRequest request;
   request.instance = &instance;
-  request.algorithm = EngineAlgorithm::FlatList;
+  request.policy = &kFlatList;
   const Ticket oneshot = async.submit(request);
 
   StreamOptions stream_options;
+  stream_options.policy = &kFlatList;
   stream_options.m = m;
   const StreamTicket stream = async.open_stream(stream_options);
   const StreamArrival arrival = rigid_arrival(1, 1.0, 1.0, 0.0);
