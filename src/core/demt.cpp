@@ -14,11 +14,14 @@
 #include "tasks/allotment_table.hpp"
 #include "tasks/time_grid.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace moldsched {
 
 namespace {
+
+/// Seed of the shuffle stage's candidate streams (candidate s draws from
+/// fork(s) of this root).
+constexpr std::uint64_t kShuffleSeed = 0x5EEDF00DULL;
 
 // ---------------------------------------------------------------------
 // Scalar reference pipeline pieces (array-of-structs batches, Schedule
@@ -62,24 +65,12 @@ Schedule naive_placement(const Instance& instance,
   return schedule;
 }
 
-void apply_local_order(const Instance&, std::vector<BatchItem>& items,
-                       DemtOptions::LocalOrder order) {
-  switch (order) {
-    case DemtOptions::LocalOrder::AsSelected:
-      return;
-    case DemtOptions::LocalOrder::SmithRatio:
-      std::stable_sort(items.begin(), items.end(),
-                       [](const BatchItem& a, const BatchItem& b) {
-                         return a.weight / a.duration > b.weight / b.duration;
-                       });
-      return;
-    case DemtOptions::LocalOrder::LongestFirst:
-      std::stable_sort(items.begin(), items.end(),
-                       [](const BatchItem& a, const BatchItem& b) {
-                         return a.duration > b.duration;
-                       });
-      return;
-  }
+/// Smith's ratio (weight / duration decreasing), stable.
+void smith_order(std::vector<BatchItem>& items) {
+  std::stable_sort(items.begin(), items.end(),
+                   [](const BatchItem& a, const BatchItem& b) {
+                     return a.weight / a.duration > b.weight / b.duration;
+                   });
 }
 
 // ---------------------------------------------------------------------
@@ -202,10 +193,10 @@ void draw_candidate_order(const std::vector<std::pair<int, int>>& batch_ranges,
 }
 
 /// Evaluate one shuffle candidate (reference AoS pipeline): generate its
-/// order from `rng` (taken by value — each candidate owns a pre-forked
-/// stream), run the flat list pass + compaction, return (weighted
-/// completion sum, cmax). The final task placements stay in `ws.tasks` for
-/// the winner's materialisation.
+/// order from `rng` (taken by value — each candidate owns a forked stream),
+/// run the flat list pass + compaction, return (weighted completion sum,
+/// cmax). The final task placements stay in `ws.tasks`, so an accepted
+/// candidate is materialised from there.
 std::pair<double, double> evaluate_shuffle_candidate(
     const Instance& instance, const std::vector<BatchItem>& flat_items,
     const std::vector<std::pair<int, int>>& batch_ranges,
@@ -228,35 +219,20 @@ FlatMetrics evaluate_shuffle_candidate_soa(
                               instance);
 }
 
-/// Stable local ordering of the selected item indices. `order` arrives in
+/// Smith's ratio over the selected item indices. `order` arrives in
 /// knapsack output order (ascending candidate index); sorting with the
 /// original index as the tie-break reproduces exactly the permutation
 /// std::stable_sort produces on the materialised items — without
 /// stable_sort's temporary merge buffer.
-void apply_local_order_soa(const FlatBatchItems& items, std::vector<int>& order,
-                           DemtOptions::LocalOrder local_order) {
-  switch (local_order) {
-    case DemtOptions::LocalOrder::AsSelected:
-      return;
-    case DemtOptions::LocalOrder::SmithRatio:
-      std::sort(order.begin(), order.end(), [&](int a, int b) {
-        const double ra = items.weight[static_cast<std::size_t>(a)] /
-                          items.duration[static_cast<std::size_t>(a)];
-        const double rb = items.weight[static_cast<std::size_t>(b)] /
-                          items.duration[static_cast<std::size_t>(b)];
-        if (ra != rb) return ra > rb;
-        return a < b;
-      });
-      return;
-    case DemtOptions::LocalOrder::LongestFirst:
-      std::sort(order.begin(), order.end(), [&](int a, int b) {
-        const double da = items.duration[static_cast<std::size_t>(a)];
-        const double db = items.duration[static_cast<std::size_t>(b)];
-        if (da != db) return da > db;
-        return a < b;
-      });
-      return;
-  }
+void smith_order_soa(const FlatBatchItems& items, std::vector<int>& order) {
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    const double ra = items.weight[static_cast<std::size_t>(a)] /
+                      items.duration[static_cast<std::size_t>(a)];
+    const double rb = items.weight[static_cast<std::size_t>(b)] /
+                      items.duration[static_cast<std::size_t>(b)];
+    if (ra != rb) return ra > rb;
+    return a < b;
+  });
 }
 
 /// Naive placement straight into flat per-task placements: same starts,
@@ -306,11 +282,7 @@ struct DemtWorkspace::Impl {
   std::vector<std::pair<int, int>> batch_ranges;
   std::vector<int> range_grid;      ///< grid index per batch range
   std::vector<int> identity_order;
-  std::vector<Rng> candidate_rngs;
-  std::vector<double> cand_wc;
-  std::vector<double> cand_cm;
   ShuffleWorkspace main_ws;
-  std::vector<ShuffleWorkspace> strand_ws;
   DualTestWorkspace dual;     ///< bisection DP/pick buffers (allocation-free)
   InstanceAllotments tables;  ///< SoA allotment rows, rebuilt per call
   CmaxEstimate estimate;      ///< pooled search result (partition reused)
@@ -322,7 +294,6 @@ struct DemtWorkspace::Impl {
   std::vector<int> order_scratch;
   FlatPlacements naive;
   CompactionBuffers naive_compact;
-  FlatPlacements result_flat;  ///< demt_schedule wrapper's out buffer
 };
 
 DemtWorkspace::DemtWorkspace() : impl_(std::make_unique<Impl>()) {}
@@ -332,13 +303,8 @@ DemtWorkspace& DemtWorkspace::operator=(DemtWorkspace&&) noexcept = default;
 
 DemtResult demt_schedule(const Instance& instance, const DemtOptions& options) {
   DemtWorkspace workspace;
-  return demt_schedule(instance, options, workspace);
-}
-
-DemtResult demt_schedule(const Instance& instance, const DemtOptions& options,
-                         DemtWorkspace& workspace) {
+  FlatPlacements flat;
   DemtDiagnostics diag;
-  FlatPlacements& flat = workspace.impl_->result_flat;
   demt_schedule_into(instance, options, workspace, flat, diag);
   return DemtResult{flat.to_schedule(instance.procs()), diag};
 }
@@ -398,7 +364,7 @@ void demt_schedule_into(const Instance& instance, const DemtOptions& options,
     if (ws.chosen.empty()) continue;
 
     ws.order_scratch = ws.chosen;
-    apply_local_order_soa(ws.cand_items, ws.order_scratch, options.local_order);
+    smith_order_soa(ws.cand_items, ws.order_scratch);
 
     const int first = ws.flat_soa.size();
     std::fill(remove.begin(), remove.end(), false);
@@ -460,82 +426,24 @@ void demt_schedule_into(const Instance& instance, const DemtOptions& options,
 
   // 5. Shuffle optimisation: randomise the order within batches (optionally
   // the batch order too), rerun the list pass, keep improvements within the
-  // makespan budget. Candidates are independent: each owns a stream forked
-  // in candidate order from the seed, all of them are evaluated (possibly
-  // concurrently, each strand inside its own reusable workspace), and a
-  // sequential replay of the (minsum, cmax) pairs applies the paper's
-  // acceptance rule — so the result is identical for any worker count.
+  // makespan budget. Candidate s draws from its own stream, forked in
+  // candidate order from the fixed seed; an accepted candidate's placements
+  // are still in main_ws.tasks when the acceptance rule takes it.
   const int shuffles = options.shuffles;
   if (shuffles <= 0) return;
 
-  Rng rng(options.shuffle_seed);
-  std::vector<Rng>& candidate_rngs = ws.candidate_rngs;
-  candidate_rngs.clear();
-  candidate_rngs.reserve(static_cast<std::size_t>(shuffles));
-  for (int s = 0; s < shuffles; ++s) {
-    candidate_rngs.push_back(rng.fork(static_cast<std::uint64_t>(s)));
-  }
-  std::vector<double>& cand_wc = ws.cand_wc;
-  cand_wc.assign(static_cast<std::size_t>(shuffles), 0.0);
-  std::vector<double>& cand_cm = ws.cand_cm;
-  cand_cm.assign(static_cast<std::size_t>(shuffles), 0.0);
-
-  int max_strands = options.shuffle_workers;
-  if (max_strands <= 0) {
-    max_strands = static_cast<int>(shared_thread_pool().size());
-  }
-  max_strands = std::min(max_strands, shuffles);
-  // Never block on the shared pool from one of its own workers (the
-  // experiment harness runs whole replicates on pool threads).
-  if (ThreadPool::this_thread_is_worker()) max_strands = 1;
-
-  if (max_strands > 1) {
-    ThreadPool& pool = shared_thread_pool();
-    std::vector<ShuffleWorkspace>& workspaces = ws.strand_ws;
-    workspaces.resize(std::min<std::size_t>(
-        pool.size(), static_cast<std::size_t>(max_strands)));
-    pool.parallel_for_slots(
-        0, static_cast<std::size_t>(shuffles),
-        [&](std::size_t slot, std::size_t s) {
-          const FlatMetrics result = evaluate_shuffle_candidate_soa(
-              instance, ws.flat_soa, ws.batch_ranges,
-              options.shuffle_batch_order, candidate_rngs[s],
-              workspaces[slot]);
-          cand_wc[s] = result.weighted_completion_sum;
-          cand_cm[s] = result.cmax;
-        },
-        static_cast<std::size_t>(max_strands));
-    out_diag.shuffle_strands = static_cast<int>(workspaces.size());
-  } else {
-    for (int s = 0; s < shuffles; ++s) {
-      const FlatMetrics result = evaluate_shuffle_candidate_soa(
-          instance, ws.flat_soa, ws.batch_ranges, options.shuffle_batch_order,
-          candidate_rngs[static_cast<std::size_t>(s)], main_ws);
-      cand_wc[static_cast<std::size_t>(s)] = result.weighted_completion_sum;
-      cand_cm[static_cast<std::size_t>(s)] = result.cmax;
-    }
-    out_diag.shuffle_strands = 1;
-  }
-
-  // Sequential replay of the acceptance rule, in candidate order.
+  Rng rng(kShuffleSeed);
   const double cmax_budget = base_cmax * options.cmax_budget_factor;
-  int winner = -1;
   for (int s = 0; s < shuffles; ++s) {
-    const double wc = cand_wc[static_cast<std::size_t>(s)];
-    const double cm = cand_cm[static_cast<std::size_t>(s)];
-    if (wc < best_wc - 1e-12 && cm <= cmax_budget + 1e-12) {
-      best_wc = wc;
-      winner = s;
-      ++out_diag.shuffle_improvements;
-    }
-  }
-  if (winner >= 0) {
-    // Re-evaluate the winning candidate (its RNG stream regenerates the
-    // same order) and keep its task placements as the result.
-    (void)evaluate_shuffle_candidate_soa(
+    const FlatMetrics result = evaluate_shuffle_candidate_soa(
         instance, ws.flat_soa, ws.batch_ranges, options.shuffle_batch_order,
-        candidate_rngs[static_cast<std::size_t>(winner)], main_ws);
-    out_placements.copy_from(main_ws.tasks);
+        rng.fork(static_cast<std::uint64_t>(s)), main_ws);
+    if (result.weighted_completion_sum < best_wc - 1e-12 &&
+        result.cmax <= cmax_budget + 1e-12) {
+      best_wc = result.weighted_completion_sum;
+      ++out_diag.shuffle_improvements;
+      out_placements.copy_from(main_ws.tasks);
+    }
   }
 }
 
@@ -592,7 +500,7 @@ DemtResult demt_schedule_reference(const Instance& instance,
       }
       batch.items.push_back(std::move(item));
     }
-    apply_local_order(instance, batch.items, options.local_order);
+    smith_order(batch.items);
     batches.push_back(std::move(batch));
     std::erase_if(pending,
                   [&](int t) { return remove[static_cast<std::size_t>(t)]; });
@@ -637,44 +545,21 @@ DemtResult demt_schedule_reference(const Instance& instance,
     }
   }
 
-  // 5. Shuffles, always evaluated sequentially (the replay acceptance rule
-  // makes the result independent of evaluation concurrency anyway).
+  // 5. Shuffles: the same candidates and acceptance rule as the flat driver.
   const int shuffles = options.shuffles;
   if (shuffles <= 0) return DemtResult{std::move(best), diag};
 
-  Rng rng(options.shuffle_seed);
-  std::vector<Rng> candidate_rngs;
-  candidate_rngs.reserve(static_cast<std::size_t>(shuffles));
-  for (int s = 0; s < shuffles; ++s) {
-    candidate_rngs.push_back(rng.fork(static_cast<std::uint64_t>(s)));
-  }
-  std::vector<double> cand_wc(static_cast<std::size_t>(shuffles), 0.0);
-  std::vector<double> cand_cm(static_cast<std::size_t>(shuffles), 0.0);
-  for (int s = 0; s < shuffles; ++s) {
-    const auto result = evaluate_shuffle_candidate(
-        instance, flat_items, batch_ranges, options.shuffle_batch_order,
-        candidate_rngs[static_cast<std::size_t>(s)], main_ws);
-    cand_wc[static_cast<std::size_t>(s)] = result.first;
-    cand_cm[static_cast<std::size_t>(s)] = result.second;
-  }
-  diag.shuffle_strands = 1;
-
+  Rng rng(kShuffleSeed);
   const double cmax_budget = base_cmax * options.cmax_budget_factor;
-  int winner = -1;
   for (int s = 0; s < shuffles; ++s) {
-    const double wc = cand_wc[static_cast<std::size_t>(s)];
-    const double cm = cand_cm[static_cast<std::size_t>(s)];
+    const auto [wc, cm] = evaluate_shuffle_candidate(
+        instance, flat_items, batch_ranges, options.shuffle_batch_order,
+        rng.fork(static_cast<std::uint64_t>(s)), main_ws);
     if (wc < best_wc - 1e-12 && cm <= cmax_budget + 1e-12) {
       best_wc = wc;
-      winner = s;
       ++diag.shuffle_improvements;
+      best = main_ws.tasks.to_schedule(instance.procs());
     }
-  }
-  if (winner >= 0) {
-    (void)evaluate_shuffle_candidate(
-        instance, flat_items, batch_ranges, options.shuffle_batch_order,
-        candidate_rngs[static_cast<std::size_t>(winner)], main_ws);
-    best = main_ws.tasks.to_schedule(instance.procs());
   }
 
   return DemtResult{std::move(best), diag};

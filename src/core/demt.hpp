@@ -9,18 +9,19 @@
 ///  2. geometric batches t_j = C*max / 2^(K-j), K = floor(log2(C*max/tmin));
 ///  3. per batch: candidate filtering, merging of small sequential tasks,
 ///     weight-maximising knapsack under the m-processor budget, placement
-///     in [t_j, t_{j+1});
+///     in [t_j, t_{j+1}), items ordered by Smith's ratio (weight/duration
+///     decreasing);
 ///  4. compaction: pull tasks earlier on their own processors, then a full
 ///     list-scheduling pass in batch order (processor sets re-chosen);
-///  5. several randomised shuffles of the batch content ordering; the best
-///     compact schedule under the acceptance rule is kept.
+///  5. several randomised shuffles of the batch content ordering, drawn from
+///     a fixed seed; the best compact schedule under the acceptance rule is
+///     kept.
 ///
 /// Every stage is switchable through DemtOptions so the ablation bench can
 /// measure each design choice.
 
 #pragma once
 
-#include <cstdint>
 #include <memory>
 
 #include "sched/flat_schedule.hpp"
@@ -46,14 +47,6 @@ struct DemtOptions {
   };
   Compaction compaction = Compaction::List;
 
-  /// Local ordering of items inside a batch for the list pass.
-  enum class LocalOrder {
-    AsSelected,   ///< knapsack output order
-    SmithRatio,   ///< weight / duration decreasing
-    LongestFirst, ///< duration decreasing (classic LPT)
-  };
-  LocalOrder local_order = LocalOrder::SmithRatio;
-
   /// Number of randomised batch-content shuffles ("shuffled several
   /// times"); 0 disables the stage. Only meaningful with Compaction::List.
   int shuffles = 8;
@@ -64,18 +57,6 @@ struct DemtOptions {
   /// minsum AND its makespan stays within this factor of the unshuffled
   /// compact schedule's makespan.
   double cmax_budget_factor = 1.0;
-  std::uint64_t shuffle_seed = 0x5EEDF00DULL;
-
-  /// Worker threads for the shuffle stage: 1 (default) evaluates candidates
-  /// sequentially on the calling thread; 0 uses every worker of the
-  /// process-wide shared pool; k > 1 caps the shared-pool strands at k.
-  /// The schedule is bit-identical for every setting — candidates draw from
-  /// RNG streams pre-forked in candidate order and are accepted by a
-  /// sequential replay of the results, so parallelism changes only the
-  /// wall-clock. Calls arriving on a pool worker thread (e.g. from the
-  /// experiment harness's parallel replicates) always run sequentially to
-  /// avoid nested-pool deadlock.
-  int shuffle_workers = 1;
 };
 
 struct DemtDiagnostics {
@@ -86,7 +67,6 @@ struct DemtDiagnostics {
   int merged_stacks = 0;         ///< stacks with at least two tasks
   int shuffle_improvements = 0;  ///< accepted shuffle candidates
   int dual_tests = 0;            ///< dual_test calls inside estimate_cmax
-  int shuffle_strands = 1;       ///< concurrent strands the shuffle stage used
 };
 
 struct DemtResult {
@@ -94,9 +74,9 @@ struct DemtResult {
   DemtDiagnostics diag;
 };
 
-/// Reusable buffers for repeated demt_schedule calls: the shuffle/list/
-/// compaction workspaces of the hot path plus every per-call scratch vector
-/// of the driver (pending sets, batch ranges, candidate RNG streams, ...).
+/// Reusable buffers for repeated demt_schedule_into calls: the shuffle/list/
+/// compaction workspace of the hot path plus every per-call scratch vector
+/// of the driver (pending sets, batch ranges, allotment tables, ...).
 /// One workspace per thread/strand — the engine pools one per strand so a
 /// server-style request stream stops re-warming buffers on every request.
 /// Reuse never changes results: a workspace only carries capacity, not
@@ -109,9 +89,6 @@ class DemtWorkspace {
   DemtWorkspace& operator=(DemtWorkspace&&) noexcept;
 
  private:
-  friend DemtResult demt_schedule(const Instance& instance,
-                                  const DemtOptions& options,
-                                  DemtWorkspace& workspace);
   friend void demt_schedule_into(const Instance& instance,
                                  const DemtOptions& options,
                                  DemtWorkspace& workspace,
@@ -125,12 +102,6 @@ class DemtWorkspace {
 /// instance. The returned schedule is always complete and feasible.
 [[nodiscard]] DemtResult demt_schedule(const Instance& instance,
                                        const DemtOptions& options = {});
-
-/// Same algorithm, reusing a caller-owned workspace across calls (identical
-/// results; only the allocation profile changes).
-[[nodiscard]] DemtResult demt_schedule(const Instance& instance,
-                                       const DemtOptions& options,
-                                       DemtWorkspace& workspace);
 
 /// The serving-path entry point: the whole pipeline — allotment tables,
 /// dual-approximation search, batch construction, knapsack selection,
@@ -147,10 +118,8 @@ void demt_schedule_into(const Instance& instance, const DemtOptions& options,
 /// The retained scalar pipeline: array-of-structs batch items, scan-based
 /// allotment lookups, the budget-outer dual-test DP, the backward in-place
 /// knapsack and Schedule-based placement/compaction, exactly as the driver
-/// ran before the SoA rewrite. Allocates freely and always evaluates
-/// shuffle candidates sequentially (the replay rule makes worker count
-/// irrelevant to the result). The differential suite (test_demt_kernel)
-/// locks demt_schedule bit-identical to this.
+/// ran before the SoA rewrite. Allocates freely. The differential suite
+/// (test_demt_kernel) locks demt_schedule bit-identical to this.
 [[nodiscard]] DemtResult demt_schedule_reference(
     const Instance& instance, const DemtOptions& options = {});
 

@@ -94,18 +94,15 @@ const void* DemtPolicy::workspace_key() const noexcept {
 }
 
 std::uint64_t DemtPolicy::cache_key() const noexcept {
-  // Every schedule-affecting option, by value. shuffle_workers stays out:
-  // the shuffle engine is bit-identical for any worker count.
+  // Every DemtOptions field, by value: each one can change the schedule.
   std::uint64_t h = 0x44454D5450434B59ULL;  // class tag ("DEMTPCKY")
   h = mix_key(h, options_.dual_eps);
   h = mix_key(h, static_cast<std::uint64_t>(options_.merge_small_tasks));
   h = mix_key(h, static_cast<std::uint64_t>(options_.smith_order_stacks));
   h = mix_key(h, static_cast<std::uint64_t>(options_.compaction));
-  h = mix_key(h, static_cast<std::uint64_t>(options_.local_order));
   h = mix_key(h, static_cast<std::uint64_t>(options_.shuffles));
   h = mix_key(h, static_cast<std::uint64_t>(options_.shuffle_batch_order));
   h = mix_key(h, options_.cmax_budget_factor);
-  h = mix_key(h, options_.shuffle_seed);
   // mix_key never returns 0 for this tag chain in practice, but the
   // cache treats 0 as "uncacheable" — keep the contract airtight.
   return h != 0 ? h : 1;

@@ -91,7 +91,7 @@ void serve_online(const OnlineRequest& request, EngineWorkspace& ws,
 }
 
 /// Take a session from `ws`'s stream pool (growing it when none is free),
-/// run `init(sim)` on it and apply `config`'s speculation settings — the
+/// run `init(sim)` on it and apply `config`'s speculation setting — the
 /// slot goes back to the pool if either throws — and bind `config`'s
 /// policy. Shared by open_stream and restore_stream; returns the new
 /// session's handle.
@@ -113,7 +113,6 @@ EngineStreamId acquire_stream(EngineWorkspace& ws, const StreamConfig& config,
   try {
     init(state.sim);
     state.sim.set_speculate(config.speculate);
-    state.sim.set_speculate_depth(config.speculate_depth);
   } catch (...) {
     ws.free_streams.push_back(index);
     throw;

@@ -18,10 +18,7 @@
 /// worker count. Requests are independent, each runs with per-request
 /// options inside its strand's workspace, and results are written at the
 /// request's index — `schedule_batch` with 1, 2, 4 or all workers returns
-/// bit-identical results (mirrored by tests/test_engine.cpp). DEMT calls
-/// that land on a pool worker evaluate their shuffle candidates
-/// sequentially (nested-pool fallback), which by the shuffle engine's
-/// replay design does not change the schedule either.
+/// bit-identical results (mirrored by tests/test_engine.cpp).
 ///
 /// Allocation contract: the engine's own dispatch adds no per-request heap
 /// allocation in steady state. FlatListPolicy requests in metrics-only
@@ -119,12 +116,6 @@ struct StreamConfig {
   /// bit-identical either way — only EngineStats speculation counters and
   /// feed latency change.
   bool speculate = false;
-  /// Speculation budget per frontier advance (see
-  /// OnlineStream::set_speculate_depth): at most this many batch decisions
-  /// are staged ahead of the watermark before one becomes final, bounding
-  /// wasted work on rollback-heavy tapes; 0 = unlimited. Only meaningful
-  /// with `speculate` on.
-  int speculate_depth = 0;
 };
 
 /// Handle to an open engine stream: a dense pool index plus a serial that

@@ -32,13 +32,11 @@ RunOutcome execute_run(const PointConfig& config,
   const CmaxEstimate estimate = estimate_cmax(instance);
   outcome.cmax_lb = estimate.lower_bound;
 
-  if (config.compute_lp_bound) {
-    const TimeGrid grid(estimate.estimate, instance.tmin());
-    const MinsumBoundResult bound =
-        minsum_lower_bound(instance, grid, config.lp_options);
-    outcome.minsum_lb = bound.bound;
-    outcome.lp_iterations = bound.iterations;
-  }
+  const TimeGrid grid(estimate.estimate, instance.tmin());
+  const MinsumBoundResult bound =
+      minsum_lower_bound(instance, grid, config.lp_options);
+  outcome.minsum_lb = bound.bound;
+  outcome.lp_iterations = bound.iterations;
 
   outcome.cmax.reserve(algorithms.size());
   outcome.minsum.reserve(algorithms.size());
@@ -47,7 +45,7 @@ RunOutcome execute_run(const PointConfig& config,
     WallTimer timer;
     const Schedule schedule = algorithm.run(instance);
     outcome.runtime_s.push_back(timer.seconds());
-    if (config.validate) require_valid(schedule, instance);
+    require_valid(schedule, instance);
     outcome.cmax.push_back(schedule.cmax());
     outcome.minsum.push_back(schedule.weighted_completion_sum(instance));
   }
@@ -81,11 +79,10 @@ PointResult run_point(const PointConfig& config,
   auto body = [&](std::size_t r) {
     outcomes[r] = execute_run(config, algorithms, run_rngs[r]);
   };
-  // Default executor: the shared pool — unless the caller brought a pool,
-  // opted out, or this call already runs on a pool worker (submitting and
-  // blocking there could deadlock the pool).
-  if (pool == nullptr && config.parallel_runs &&
-      !ThreadPool::this_thread_is_worker()) {
+  // Default executor: the shared pool — unless the caller brought a pool
+  // or this call already runs on a pool worker (submitting and blocking
+  // there could deadlock the pool).
+  if (pool == nullptr && !ThreadPool::this_thread_is_worker()) {
     pool = &shared_thread_pool();
   }
   if (pool != nullptr && pool->size() > 1) {
@@ -104,16 +101,12 @@ PointResult run_point(const PointConfig& config,
   }
   for (const auto& outcome : outcomes) {
     result.cmax_lower_bound.add(outcome.cmax_lb);
-    if (config.compute_lp_bound) {
-      result.lp_bound.add(outcome.minsum_lb);
-      result.lp_iterations.add(static_cast<double>(outcome.lp_iterations));
-    }
+    result.lp_bound.add(outcome.minsum_lb);
+    result.lp_iterations.add(static_cast<double>(outcome.lp_iterations));
     for (std::size_t a = 0; a < algorithms.size(); ++a) {
       auto& stats = result.stats[algorithms[a].name];
       stats.cmax_ratio.add(outcome.cmax[a], outcome.cmax_lb);
-      if (config.compute_lp_bound) {
-        stats.minsum_ratio.add(outcome.minsum[a], outcome.minsum_lb);
-      }
+      stats.minsum_ratio.add(outcome.minsum[a], outcome.minsum_lb);
       stats.runtime_s.add(outcome.runtime_s[a]);
     }
   }

@@ -26,12 +26,6 @@ struct PointConfig {
   int m = 200;          ///< processors (the paper's cluster size)
   int runs = 40;        ///< instances per point (paper: 40)
   std::uint64_t seed = 20040627;  ///< base seed (SPAA'04 started June 27)
-  bool compute_lp_bound = true;   ///< Fig 7 measures runtime only
-  bool validate = true;           ///< validate every schedule produced
-  /// Run replicates on the process-wide shared pool when the caller passes
-  /// no pool of its own (results never depend on the worker count — every
-  /// run owns a pre-forked RNG stream). Set false to force one thread.
-  bool parallel_runs = true;
   GeneratorConfig generator;
   SimplexOptions lp_options;
 };
@@ -42,8 +36,8 @@ struct AlgoPointStats {
   /// Wall-clock per scheduling call, measured while replicates run on
   /// however many workers are active — comparable between algorithms in
   /// the same run, but inflated vs. a sequential sweep on a loaded
-  /// machine. For clean runtime curves set `parallel_runs = false` (or
-  /// use bench/fig7_runtime, which times calls one at a time).
+  /// machine. For clean runtime curves use bench/fig7_runtime, which times
+  /// calls one at a time.
   RunningStats runtime_s;
 };
 
@@ -58,9 +52,10 @@ struct PointResult {
 };
 
 /// Run one experiment point. Runs execute in parallel on `pool` when
-/// provided — or on the shared pool when `pool` is null and
-/// `config.parallel_runs` is set (each run owns a forked RNG stream, so
-/// results do not depend on the worker count or interleaving).
+/// provided, or on the process-wide shared pool when `pool` is null (each
+/// run owns a forked RNG stream, so results do not depend on the worker
+/// count or interleaving). Every schedule is validated; an invalid one
+/// throws.
 [[nodiscard]] PointResult run_point(const PointConfig& config,
                                     const std::vector<AlgorithmSpec>& algorithms,
                                     ThreadPool* pool = nullptr);

@@ -21,7 +21,6 @@ FigureResult run_figure(const FigureConfig& config) {
     point.m = config.m;
     point.runs = config.runs;
     point.seed = config.seed;
-    point.compute_lp_bound = config.compute_lp_bound;
     point.lp_options = config.lp_options;
     log_info(strfmt("%s: n=%d (%d runs)", config.title.c_str(), n,
                     config.runs));
@@ -47,12 +46,8 @@ void print_block(const FigureResult& result, std::ostream& out,
     for (const auto& name : order) {
       const auto& stats = point.stats.at(name);
       const auto& ratio = minsum_block ? stats.minsum_ratio : stats.cmax_ratio;
-      if (ratio.count() == 0) {
-        out << strfmt("  %-22s", "-");
-      } else {
-        out << strfmt("  %5.2f [%5.2f,%6.2f]", ratio.ratio(),
-                      ratio.min_ratio(), ratio.max_ratio());
-      }
+      out << strfmt("  %5.2f [%5.2f,%6.2f]", ratio.ratio(),
+                    ratio.min_ratio(), ratio.max_ratio());
     }
     out << '\n';
   }
@@ -71,7 +66,7 @@ void print_figure(const FigureResult& result, std::ostream& out) {
                 result.config.m, result.config.runs,
                 std::string(family_name(result.config.family)).c_str());
   out << "# cell = ratio-of-sums average [per-run min, per-run max]\n\n";
-  if (result.config.compute_lp_bound) print_block(result, out, true);
+  print_block(result, out, true);
   print_block(result, out, false);
 
   // Runtime block (the Figure 7 measurement, available for every figure).
@@ -100,9 +95,6 @@ void write_figure_csv(const FigureResult& result, std::ostream& out) {
     for (const auto& name : point.algorithm_order) {
       const auto& stats = point.stats.at(name);
       auto ratio_fields = [](const RatioOfSums& r) {
-        if (r.count() == 0) {
-          return std::vector<std::string>{"", "", ""};
-        }
         return std::vector<std::string>{strfmt("%.6f", r.ratio()),
                                         strfmt("%.6f", r.min_ratio()),
                                         strfmt("%.6f", r.max_ratio())};
@@ -136,9 +128,8 @@ bool write_figure_gnuplot(const FigureResult& result,
     dat << point.config.n;
     for (const auto& name : order) {
       const auto& stats = point.stats.at(name);
-      dat << ' '
-          << (stats.minsum_ratio.count() ? stats.minsum_ratio.ratio() : 0.0)
-          << ' ' << stats.cmax_ratio.ratio();
+      dat << ' ' << stats.minsum_ratio.ratio() << ' '
+          << stats.cmax_ratio.ratio();
     }
     dat << '\n';
   }

@@ -20,7 +20,6 @@ struct FigureConfig {
   int m = 200;
   int runs = 40;
   std::uint64_t seed = 20040627;
-  bool compute_lp_bound = true;
   DemtOptions demt;
   SimplexOptions lp_options;
   unsigned threads = 0;  ///< 0 = hardware concurrency

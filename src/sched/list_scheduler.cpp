@@ -191,7 +191,7 @@ void list_schedule_into(int m, int num_entries,
 }
 
 Schedule list_schedule(int m, int num_tasks, const std::vector<ListJob>& jobs,
-                       const ListScheduleOptions& options) {
+                       const std::vector<BusyInterval>& reservations) {
   // Validate here so the allocation-free core can trust its inputs; same
   // checks and messages as the Schedule-based implementation had.
   if (m < 1) throw std::invalid_argument("Schedule: m must be >= 1");
@@ -220,7 +220,7 @@ Schedule list_schedule(int m, int num_tasks, const std::vector<ListJob>& jobs,
   thread_local ListPassWorkspace ws;
   thread_local FlatPlacements flat;
   ws.jobs.assign(jobs.begin(), jobs.end());
-  list_schedule_into(m, num_tasks, options.reservations, ws, flat);
+  list_schedule_into(m, num_tasks, reservations, ws, flat);
   return flat.to_schedule(m);
 }
 

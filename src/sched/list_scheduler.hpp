@@ -47,11 +47,6 @@ struct BusyInterval {
   double finish = 0.0;
 };
 
-struct ListScheduleOptions {
-  /// Busy intervals the scheduler must avoid (default none).
-  std::vector<BusyInterval> reservations;
-};
-
 /// Reusable buffers for repeated list passes. One workspace per thread;
 /// every buffer is cleared (capacity kept) at the start of a pass, so after
 /// the first pass at a given problem size no further heap allocation
@@ -87,12 +82,13 @@ struct ListPassWorkspace {
 };
 
 /// Schedule `jobs` on m processors into a Schedule with `num_tasks` slots
-/// (jobs may cover only a subset of tasks; the rest stay unassigned).
-/// Throws std::invalid_argument when a job needs more than m processors,
-/// has a non-positive duration, or duplicates a task.
-[[nodiscard]] Schedule list_schedule(int m, int num_tasks,
-                                     const std::vector<ListJob>& jobs,
-                                     const ListScheduleOptions& options = {});
+/// (jobs may cover only a subset of tasks; the rest stay unassigned),
+/// avoiding the busy intervals in `reservations`. Throws
+/// std::invalid_argument when a job needs more than m processors, has a
+/// non-positive duration, or duplicates a task.
+[[nodiscard]] Schedule list_schedule(
+    int m, int num_tasks, const std::vector<ListJob>& jobs,
+    const std::vector<BusyInterval>& reservations = {});
 
 /// Allocation-free core: run the list pass for `ws.jobs` on m processors,
 /// writing each job's placement into `out` at index `job.task` (entries in

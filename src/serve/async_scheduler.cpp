@@ -181,7 +181,6 @@ struct AsyncScheduler::Impl {
     int m = 1;
     const SchedulingPolicy* policy = nullptr;   ///< borrowed while open
     bool speculate = false;  ///< StreamOptions::speculate, applied at open
-    int speculate_depth = 0;  ///< StreamOptions::speculate_depth
     std::uint32_t lane = 0;  ///< every feed/close of the stream rides it
     std::vector<NodeReservation> reservations;  ///< copied at open
     EngineStreamId engine_stream{};
@@ -688,7 +687,6 @@ struct AsyncScheduler::Impl {
         config.reservations = &entry.reservations;
         config.policy = entry.policy;
         config.speculate = entry.speculate;
-        config.speculate_depth = entry.speculate_depth;
         if (entry.has_checkpoint) {
           entry.engine_stream =
               shard.engine.restore_stream(config, entry.checkpoint);
@@ -1190,7 +1188,6 @@ StreamTicket AsyncScheduler::open_stream(const StreamOptions& options,
   entry.m = options.m;
   entry.policy = options.policy;
   entry.speculate = options.speculate;
-  entry.speculate_depth = options.speculate_depth;
   entry.lane = im.clamp_lane(lane);
   entry.reservations.clear();
   if (options.reservations != nullptr) {

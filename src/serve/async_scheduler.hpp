@@ -19,9 +19,9 @@
 /// (one lane), which is exactly the pre-policy behaviour.
 ///
 /// Determinism contract: a request's result is a pure function of the
-/// EngineRequest — the engine's per-request determinism (pre-forked
-/// shuffle RNG streams, sequential acceptance replay) makes every DEMT
-/// call self-contained — so results are bit-identical to the synchronous
+/// EngineRequest — the engine's per-request determinism (fixed-seed
+/// shuffle RNG streams on every call) makes every DEMT call
+/// self-contained — so results are bit-identical to the synchronous
 /// `SchedulerEngine::schedule_batch` path for any shard count, pool size,
 /// batch size, and flush timing. Only latency and throughput change.
 ///
@@ -223,10 +223,6 @@ struct StreamOptions {
   /// lower feed-to-decision latency and shows up in the AsyncStats
   /// spec_* counters.
   bool speculate = false;
-  /// Speculation budget per frontier advance for this stream (see
-  /// OnlineStream::set_speculate_depth); 0 = unlimited. Bounds the work a
-  /// rollback-heavy tape wastes; only meaningful with `speculate` on.
-  int speculate_depth = 0;
 };
 
 /// Handle to one open stream. Value type, freely copyable; id 0 means

@@ -86,8 +86,6 @@ void OnlineStream::open(int m,
   divisible_live_ = 0;
   divisible_wcs_ = 0.0;
   speculate_ = false;
-  speculate_depth_ = 0;
-  spec_frontier_staged_ = 0;
   spec_head_ = 0;
   spec_count_ = 0;
   spec_decided_ = 0;
@@ -98,21 +96,6 @@ void OnlineStream::open(int m,
 void OnlineStream::set_speculate(bool on) {
   if (!on && spec_head_ < spec_count_) drop_speculation(spec_head_);
   speculate_ = on;
-}
-
-void OnlineStream::set_speculate_depth(int depth) {
-  if (depth < 0) {
-    throw std::invalid_argument(
-        "OnlineStream: speculate depth must be >= 0");
-  }
-  speculate_depth_ = depth;
-  // Shrink an already-staged frontier that exceeds the new cap: the
-  // records past the cap are exactly what a stream with this budget from
-  // the start would never have staged.
-  if (depth > 0) {
-    const std::size_t cap = spec_head_ + static_cast<std::size_t>(depth);
-    if (spec_count_ > cap) drop_speculation(cap);
-  }
 }
 
 double OnlineStream::divisible_work_pending() const noexcept {
@@ -269,10 +252,6 @@ void OnlineStream::advance(bool finishing, const SchedulingPolicy& policy,
     broken_ = true;
     throw;
   }
-
-  // The frontier advanced: newly final batches refresh the speculation
-  // budget (spent stages were not wasted, or their waste is already paid).
-  if (next_ > first) spec_frontier_staged_ = 0;
 
   // Copy the newly final range into the delivery.
   out.first_job = static_cast<int>(first);
@@ -448,17 +427,6 @@ void OnlineStream::speculate_ahead(const SchedulingPolicy& policy,
                                : now_;
   try {
     while (spec_next < jobs_live_) {
-      // Depth budget: stop once speculate_depth_ stages have been spent
-      // since the frontier last advanced. Rolled-back stages still count —
-      // on a rollback-heavy tape every late arrival invalidates the staged
-      // batch, and without the budget the stream would re-stage the merged
-      // batch on every feed; with it the waste is bounded at depth
-      // decisions per real batch. Never changes any delivery.
-      if (speculate_depth_ > 0 &&
-          spec_frontier_staged_ >=
-              static_cast<std::uint64_t>(speculate_depth_)) {
-        break;
-      }
       // Same membership rule as the fresh loop; everything still undecided
       // here failed the finality test, which is exactly the speculative
       // frontier.
@@ -489,7 +457,6 @@ void OnlineStream::speculate_ahead(const SchedulingPolicy& policy,
       stage_fill(rec);
       ++spec_count_;
       ++spec_decided_;
-      ++spec_frontier_staged_;
       clock = rec.clock_after;
       spec_next = last;
     }

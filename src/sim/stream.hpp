@@ -158,21 +158,6 @@ class OnlineStream {
   /// Turning it off rolls back anything currently staged.
   void set_speculate(bool on);
   [[nodiscard]] bool speculate() const noexcept { return speculate_; }
-  /// Bound the staged frontier: with depth d > 0 at most d batch decisions
-  /// are staged ahead of the watermark per frontier advance — once d
-  /// stages have been spent without any batch becoming final (committed or
-  /// decided fresh), the stream stops re-speculating until the frontier
-  /// moves. On a rollback-heavy tape, where every late arrival invalidates
-  /// the staged batch and an unbounded stream immediately re-stages the
-  /// merged batch, this caps the wasted (rolled-back) work at d decisions
-  /// per real batch. 0 (the default) = unlimited. Purely a work bound:
-  /// deliveries are bit-identical for every depth. Throws
-  /// std::invalid_argument on a negative depth. Lowering the depth below
-  /// the live staged count rolls the excess back.
-  void set_speculate_depth(int depth);
-  [[nodiscard]] int speculate_depth() const noexcept {
-    return speculate_depth_;
-  }
   /// Batches decided ahead of the watermark this session.
   [[nodiscard]] std::uint64_t speculated_batches() const noexcept {
     return spec_decided_;
@@ -298,8 +283,6 @@ class OnlineStream {
   FlatPlacements empty_batch_;  ///< zero-entry placements for the drain
 
   bool speculate_ = false;
-  int speculate_depth_ = 0;  ///< staging budget per frontier advance; 0 = unlimited
-  std::uint64_t spec_frontier_staged_ = 0;  ///< stages spent at this frontier
   std::vector<SpecRecord> spec_pool_;  ///< pooled records, capacity kept
   std::size_t spec_head_ = 0;   ///< first live staged record
   std::size_t spec_count_ = 0;  ///< one past the last live staged record

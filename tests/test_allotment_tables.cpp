@@ -1,74 +1,17 @@
-/// Determinism contracts of the parallel shuffle engine and the
-/// allotment-table precompute: the same seed must give the same schedule
-/// for any worker count, and the table-backed dual-approximation search
-/// must follow exactly the trajectory of the scan-based one.
+/// Determinism contract of the allotment-table precompute: the
+/// table-backed dual-approximation search must follow exactly the
+/// trajectory of the scan-based one, and the tables must answer every
+/// allotment query exactly as the task does.
 
 #include <gtest/gtest.h>
 
-#include "core/demt.hpp"
 #include "dualapprox/cmax_estimator.hpp"
-#include "sched/validator.hpp"
 #include "tasks/allotment_table.hpp"
 #include "util/rng.hpp"
 #include "workloads/generators.hpp"
 
 namespace moldsched {
 namespace {
-
-void expect_identical(const Schedule& a, const Schedule& b) {
-  ASSERT_EQ(a.num_tasks(), b.num_tasks());
-  for (int t = 0; t < a.num_tasks(); ++t) {
-    const Placement& pa = a.placement(t);
-    const Placement& pb = b.placement(t);
-    EXPECT_EQ(pa.start, pb.start) << "task " << t;
-    EXPECT_EQ(pa.duration, pb.duration) << "task " << t;
-    EXPECT_EQ(pa.procs, pb.procs) << "task " << t;
-  }
-}
-
-TEST(ParallelDeterminism, SameSeedSameScheduleAcrossWorkerCounts) {
-  Rng rng(20040627);
-  for (auto family : {WorkloadFamily::Cirne, WorkloadFamily::Mixed}) {
-    const Instance instance = generate_instance(family, 60, 24, rng);
-
-    DemtOptions sequential;
-    sequential.shuffles = 16;
-    sequential.shuffle_workers = 1;
-    const auto base = demt_schedule(instance, sequential);
-    require_valid(base.schedule, instance);
-
-    for (int workers : {2, 4, 0}) {  // 0 = every shared-pool worker
-      DemtOptions parallel = sequential;
-      parallel.shuffle_workers = workers;
-      const auto result = demt_schedule(instance, parallel);
-      require_valid(result.schedule, instance);
-      EXPECT_EQ(result.schedule.cmax(), base.schedule.cmax())
-          << "workers=" << workers;
-      EXPECT_EQ(result.schedule.weighted_completion_sum(instance),
-                base.schedule.weighted_completion_sum(instance))
-          << "workers=" << workers;
-      EXPECT_EQ(result.diag.shuffle_improvements,
-                base.diag.shuffle_improvements)
-          << "workers=" << workers;
-      expect_identical(result.schedule, base.schedule);
-    }
-  }
-}
-
-TEST(ParallelDeterminism, ShuffleBatchOrderModeIsAlsoDeterministic) {
-  Rng rng(7);
-  const Instance instance =
-      generate_instance(WorkloadFamily::HighlyParallel, 50, 16, rng);
-  DemtOptions options;
-  options.shuffles = 12;
-  options.shuffle_batch_order = true;
-  options.cmax_budget_factor = 1.2;
-  options.shuffle_workers = 1;
-  const auto base = demt_schedule(instance, options);
-  options.shuffle_workers = 4;
-  const auto parallel = demt_schedule(instance, options);
-  expect_identical(parallel.schedule, base.schedule);
-}
 
 /// Reference bisection: the exact arithmetic of estimate_cmax, but calling
 /// the scan-based dual_test directly. The table-backed search must perform

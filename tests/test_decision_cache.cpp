@@ -18,6 +18,7 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/decision_cache.hpp"
@@ -267,6 +268,43 @@ TEST(DecisionCache, PermutedResubmissionIsItsOwnRecord) {
   EXPECT_EQ(cache.stats().size, 2u);
 }
 
+TEST(DecisionCache, EveryDemtOptionChangesTheCacheKey) {
+  // A DemtOptions field left out of cache_key() would let the cache replay
+  // one option set's schedule for another. One variant per field, each
+  // differing from the defaults in that field only.
+  std::vector<std::pair<const char*, DemtOptions>> variants;
+  const auto add = [&](const char* field, auto mutate) {
+    DemtOptions options;
+    mutate(options);
+    variants.emplace_back(field, options);
+  };
+  add("dual_eps", [](DemtOptions& o) { o.dual_eps = 1e-3; });
+  add("merge_small_tasks", [](DemtOptions& o) { o.merge_small_tasks = false; });
+  add("smith_order_stacks",
+      [](DemtOptions& o) { o.smith_order_stacks = false; });
+  add("compaction", [](DemtOptions& o) {
+    o.compaction = DemtOptions::Compaction::PullForward;
+  });
+  add("shuffles", [](DemtOptions& o) { o.shuffles = 9; });
+  add("shuffle_batch_order",
+      [](DemtOptions& o) { o.shuffle_batch_order = true; });
+  add("cmax_budget_factor", [](DemtOptions& o) { o.cmax_budget_factor = 1.5; });
+
+  const std::uint64_t base = DemtPolicy(DemtOptions{}).cache_key();
+  EXPECT_NE(base, 0u);
+  EXPECT_EQ(base, DemtPolicy(DemtOptions{}).cache_key());
+  std::set<std::uint64_t> keys{base};
+  for (const auto& [field, options] : variants) {
+    const std::uint64_t key = DemtPolicy(options).cache_key();
+    EXPECT_NE(key, base) << field;
+    // Equal options, separately built policies: equal keys.
+    EXPECT_EQ(key, DemtPolicy(options).cache_key()) << field;
+    keys.insert(key);
+  }
+  // No two single-field variants collide either.
+  EXPECT_EQ(keys.size(), variants.size() + 1);
+}
+
 TEST(DecisionCache, DistinctPolicyKeysDoNotPoisonEachOther) {
   // Same instance served under two DemtOptions: each must replay its own
   // decision. This is why the cache keys on cache_key(), not the
@@ -281,10 +319,6 @@ TEST(DecisionCache, DistinctPolicyKeysDoNotPoisonEachOther) {
   const DemtPolicy thorough_policy(thorough);
   ASSERT_NE(fast_policy.cache_key(), thorough_policy.cache_key());
   ASSERT_EQ(fast_policy.cache_key(), DemtPolicy(fast).cache_key());
-  // shuffle_workers must NOT affect the key (bit-identical by design).
-  DemtOptions parallel = fast;
-  parallel.shuffle_workers = 4;
-  EXPECT_EQ(fast_policy.cache_key(), DemtPolicy(parallel).cache_key());
 
   DecisionCache cache(DecisionCacheOptions{16, 2, 32});
   SchedulerEngine cached(EngineOptions{1, true, &cache});

@@ -1,6 +1,5 @@
-/// Determinism and workspace contracts of the multi-instance engine
-/// (mirroring test_parallel_determinism for the shuffle engine): the same
-/// request batch must give bit-identical results for 1, 2, 4 and all
+/// Determinism and workspace contracts of the multi-instance engine: the
+/// same request batch must give bit-identical results for 1, 2, 4 and all
 /// workers, match direct demt_schedule calls, and workspace reuse across
 /// batches must never leak state between requests.
 

@@ -58,15 +58,6 @@ TEST(Experiment, DeterministicAcrossCalls) {
                    b.stats.at("Gang").cmax_ratio.ratio());
 }
 
-TEST(Experiment, LpBoundCanBeDisabled) {
-  PointConfig config = tiny_point();
-  config.compute_lp_bound = false;
-  const auto algorithms = algorithms_by_name({"DEMT"});
-  const auto result = run_point(config, algorithms);
-  EXPECT_EQ(result.stats.at("DEMT").minsum_ratio.count(), 0u);
-  EXPECT_EQ(result.stats.at("DEMT").cmax_ratio.count(), 3u);
-}
-
 TEST(Experiment, UnknownAlgorithmThrows) {
   EXPECT_THROW(algorithms_by_name({"Nope"}), std::invalid_argument);
 }

@@ -113,27 +113,27 @@ TEST(ListScheduler, PartialJobListLeavesOthersUnassigned) {
 
 TEST(ListScheduler, ReservationBlocksProcessor) {
   // Processor 0 reserved [0, 10): a 1-proc job must use processor 1.
-  ListScheduleOptions options;
-  options.reservations = {{0, 0.0, 10.0}};
-  const Schedule schedule = list_schedule(2, 1, {{0, 1, 2.0, 0.0}}, options);
+  const std::vector<BusyInterval> reservations = {{0, 0.0, 10.0}};
+  const Schedule schedule =
+      list_schedule(2, 1, {{0, 1, 2.0, 0.0}}, reservations);
   EXPECT_DOUBLE_EQ(schedule.placement(0).start, 0.0);
   EXPECT_EQ(schedule.placement(0).procs[0], 1);
 }
 
 TEST(ListScheduler, ReservationDelaysWideJob) {
   // Both procs needed but proc 1 reserved [0, 4): job waits until 4.
-  ListScheduleOptions options;
-  options.reservations = {{1, 0.0, 4.0}};
-  const Schedule schedule = list_schedule(2, 1, {{0, 2, 1.0, 0.0}}, options);
+  const std::vector<BusyInterval> reservations = {{1, 0.0, 4.0}};
+  const Schedule schedule =
+      list_schedule(2, 1, {{0, 2, 1.0, 0.0}}, reservations);
   EXPECT_DOUBLE_EQ(schedule.placement(0).start, 4.0);
 }
 
 TEST(ListScheduler, UpcomingReservationStopsLongJob) {
   // Proc 0 reserved [3, 5). A job of length 4 cannot use proc 0 at t=0
   // (it would collide at t=3) and must take proc 1.
-  ListScheduleOptions options;
-  options.reservations = {{0, 3.0, 5.0}};
-  const Schedule schedule = list_schedule(2, 1, {{0, 1, 4.0, 0.0}}, options);
+  const std::vector<BusyInterval> reservations = {{0, 3.0, 5.0}};
+  const Schedule schedule =
+      list_schedule(2, 1, {{0, 1, 4.0, 0.0}}, reservations);
   EXPECT_DOUBLE_EQ(schedule.placement(0).start, 0.0);
   EXPECT_EQ(schedule.placement(0).procs[0], 1);
 }
@@ -178,18 +178,18 @@ TEST(ListScheduler, SingleProcessorChainsInListOrder) {
 TEST(ListScheduler, JobStartsExactlyAtReservationEnd) {
   // Reservation [0, 4) on the only processor: the freeing event at exactly
   // t=4 must make the processor usable at 4, not strictly after it.
-  ListScheduleOptions options;
-  options.reservations = {{0, 0.0, 4.0}};
-  const Schedule schedule = list_schedule(1, 1, {{0, 1, 2.0, 0.0}}, options);
+  const std::vector<BusyInterval> reservations = {{0, 0.0, 4.0}};
+  const Schedule schedule =
+      list_schedule(1, 1, {{0, 1, 2.0, 0.0}}, reservations);
   EXPECT_EQ(schedule.placement(0).start, 4.0);
 }
 
 TEST(ListScheduler, JobFinishingExactlyAtReservationStartFits) {
   // Proc 0 reserved [3, 5). A job of length 3 at t=0 finishes exactly when
   // the reservation begins — a half-open boundary, so it may use proc 0.
-  ListScheduleOptions options;
-  options.reservations = {{0, 3.0, 5.0}};
-  const Schedule schedule = list_schedule(1, 1, {{0, 1, 3.0, 0.0}}, options);
+  const std::vector<BusyInterval> reservations = {{0, 3.0, 5.0}};
+  const Schedule schedule =
+      list_schedule(1, 1, {{0, 1, 3.0, 0.0}}, reservations);
   EXPECT_EQ(schedule.placement(0).start, 0.0);
   EXPECT_EQ(schedule.placement(0).procs[0], 0);
 }
@@ -198,10 +198,9 @@ TEST(ListScheduler, ReservationFinishTiedWithJobFinish) {
   // A job finish and a reservation finish land on the same heap key
   // (t=2): both frees must drain before the 2-proc job is scanned, so it
   // starts at exactly 2 on the full machine.
-  ListScheduleOptions options;
-  options.reservations = {{1, 0.0, 2.0}};
+  const std::vector<BusyInterval> reservations = {{1, 0.0, 2.0}};
   const Schedule schedule =
-      list_schedule(2, 2, {{0, 1, 2.0, 0.0}, {1, 2, 1.0, 0.0}}, options);
+      list_schedule(2, 2, {{0, 1, 2.0, 0.0}, {1, 2, 1.0, 0.0}}, reservations);
   EXPECT_EQ(schedule.placement(0).start, 0.0);
   EXPECT_EQ(schedule.placement(1).start, 2.0);
   EXPECT_DOUBLE_EQ(schedule.cmax(), 3.0);
@@ -211,9 +210,9 @@ TEST(ListScheduler, BackToBackReservationsOnOneProcessor) {
   // Two abutting reservations [0,2) and [2,4) on proc 0 of a 1-proc
   // machine: the per-proc reservation chain must advance across the shared
   // boundary without opening a zero-width hole at t=2.
-  ListScheduleOptions options;
-  options.reservations = {{0, 0.0, 2.0}, {0, 2.0, 4.0}};
-  const Schedule schedule = list_schedule(1, 1, {{0, 1, 1.0, 0.0}}, options);
+  const std::vector<BusyInterval> reservations = {{0, 0.0, 2.0}, {0, 2.0, 4.0}};
+  const Schedule schedule =
+      list_schedule(1, 1, {{0, 1, 1.0, 0.0}}, reservations);
   EXPECT_EQ(schedule.placement(0).start, 4.0);
 }
 

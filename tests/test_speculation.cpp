@@ -425,164 +425,6 @@ TEST(Speculation, SparseWatermarkChainsMultipleStagedBatches) {
   expect_identical_result(plain.result(), spec.result());
 }
 
-// ------------------------------------------------------ depth cap
-
-/// Live staged records = decided - committed - rolled back.
-std::uint64_t live_staged(const OnlineStream& stream) {
-  return stream.speculated_batches() - stream.committed_speculations() -
-         stream.rolled_back_speculations();
-}
-
-TEST(Speculation, DepthBudgetPreservesDeliveriesAndCounters) {
-  // The budget never changes what a stream delivers: a stage, a commit,
-  // and a re-stage after the frontier advances look the same at every
-  // depth (the commit refreshes the budget).
-  const auto flat_ws = kFlatList.make_workspace();
-  std::vector<StreamArrival> arrivals;
-  for (int i = 0; i < 3; ++i) {
-    arrivals.push_back(rigid_arrival(2, 1.0, 1.0, 0.0));
-  }
-  const StreamArrival late = rigid_arrival(1, 2.0, 1.0, 10.0);
-  std::vector<FlatOnlineResult> results;
-  for (const int depth : {0, 1, 2, 100}) {
-    SCOPED_TRACE(testing::Message() << "depth " << depth);
-    OnlineStream stream;
-    stream.open(2, {});
-    stream.set_speculate(true);
-    stream.set_speculate_depth(depth);
-    EXPECT_EQ(stream.speculate_depth(), depth);
-    StreamDelivery out;
-    // Releases tie the watermark, so the batch is not final: it is staged
-    // speculatively (one record absorbs every tying arrival).
-    stream.feed(arrivals.data(), arrivals.size(), 0.0,
-                kFlatList, *flat_ws, out);
-    EXPECT_EQ(out.num_jobs(), 0);
-    EXPECT_EQ(live_staged(stream), 1u);
-    // The confirming watermark commits the stage and refreshes the budget,
-    // so the next held-back arrival stages again even at depth 1.
-    stream.feed(&late, 1, 10.0, kFlatList, *flat_ws, out);
-    EXPECT_EQ(out.num_jobs(), 3);
-    EXPECT_EQ(stream.committed_speculations(), 1u);
-    EXPECT_EQ(live_staged(stream), 1u);
-    stream.finish(kFlatList, *flat_ws, out);
-    EXPECT_EQ(stream.committed_speculations(), 2u);
-    EXPECT_EQ(stream.rolled_back_speculations(), 0u);
-    results.push_back(stream.result());
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    expect_identical_result(results[0], results[i]);
-  }
-  OnlineStream stream;
-  stream.open(2, {});
-  EXPECT_THROW(stream.set_speculate_depth(-1), std::invalid_argument);
-}
-
-TEST(Speculation, ChangingDepthMidStreamTakesEffectImmediately) {
-  // Tightening the budget below what is already spent at the current
-  // frontier suppresses re-staging; widening it back re-enables staging at
-  // the next feed. The schedule never changes.
-  const auto flat_ws = kFlatList.make_workspace();
-  auto tie = [](double weight) { return rigid_arrival(1, 1.0, weight, 0.0); };
-  const StreamArrival a = tie(1.0), b = tie(2.0), c = tie(3.0), d = tie(4.0),
-                      e = tie(5.0);
-  OnlineStream stream;
-  stream.open(2, {});
-  stream.set_speculate(true);
-  StreamDelivery out;
-  stream.feed(&a, 1, 0.0, kFlatList, *flat_ws, out);  // stages {a}
-  EXPECT_EQ(stream.speculated_batches(), 1u);
-  // Rolls back, then re-stages {a,b}.
-  stream.feed(&b, 1, 0.0, kFlatList, *flat_ws, out);
-  EXPECT_EQ(stream.speculated_batches(), 2u);
-  EXPECT_EQ(stream.rolled_back_speculations(), 1u);
-  EXPECT_EQ(live_staged(stream), 1u);
-  // Two stages already spent at this frontier: a budget of one suppresses
-  // any further staging until a batch becomes final.
-  stream.set_speculate_depth(1);
-  // Rolls back and does NOT re-stage.
-  stream.feed(&c, 1, 0.0, kFlatList, *flat_ws, out);
-  EXPECT_EQ(stream.speculated_batches(), 2u);
-  EXPECT_EQ(stream.rolled_back_speculations(), 2u);
-  EXPECT_EQ(live_staged(stream), 0u);
-  stream.feed(&d, 1, 0.0, kFlatList, *flat_ws, out);  // still suppressed
-  EXPECT_EQ(stream.speculated_batches(), 2u);
-  stream.set_speculate_depth(0);  // back to unlimited
-  stream.feed(&e, 1, 0.0, kFlatList, *flat_ws, out);  // stages {a..e}
-  EXPECT_EQ(stream.speculated_batches(), 3u);
-  EXPECT_EQ(live_staged(stream), 1u);
-  stream.feed(nullptr, 0, 10.0, kFlatList, *flat_ws, out);
-  EXPECT_EQ(out.num_jobs(), 5);
-  EXPECT_EQ(stream.committed_speculations(), 1u);
-  stream.finish(kFlatList, *flat_ws, out);
-
-  OnlineStream plain;
-  plain.open(2, {});
-  StreamDelivery plain_out;
-  for (const StreamArrival* arr : {&a, &b, &c, &d, &e}) {
-    plain.feed(arr, 1, 0.0, kFlatList, *flat_ws, plain_out);
-  }
-  plain.feed(nullptr, 0, 10.0, kFlatList, *flat_ws, plain_out);
-  plain.finish(kFlatList, *flat_ws, plain_out);
-  expect_identical_result(plain.result(), stream.result());
-}
-
-TEST(Speculation, DepthBoundsWastedWorkOnRollbackHeavyTape) {
-  // Rollback-heavy tape: every group of arrivals ties the open watermark,
-  // so each new arrival invalidates the staged batch and an unbounded
-  // stream immediately re-stages the merged batch — two wasted decisions
-  // per group. Depth 1 stages each group once, wasting at most one
-  // decision per real batch. Deliveries are bit-identical throughout.
-  const auto flat_ws = kFlatList.make_workspace();
-  constexpr int kGroups = 5;
-  struct Step {
-    StreamArrival arrival;
-    double watermark;
-  };
-  std::vector<Step> steps;
-  for (int group = 0; group < kGroups; ++group) {
-    const double base = 10.0 * group;
-    for (int i = 0; i < 3; ++i) {
-      steps.push_back(
-          Step{rigid_arrival(2, 1.0, 1.0 + static_cast<double>(i), base),
-               base});
-    }
-  }
-
-  std::vector<StreamDelivery> per_depth[2];
-  std::uint64_t rolled_back[2] = {0, 0};
-  std::uint64_t decided[2] = {0, 0};
-  std::uint64_t committed[2] = {0, 0};
-  for (const int depth : {0, 1}) {
-    OnlineStream stream;
-    stream.open(2, {});
-    stream.set_speculate(true);
-    stream.set_speculate_depth(depth);
-    StreamDelivery out;
-    for (const Step& step : steps) {
-      stream.feed(&step.arrival, 1, step.watermark, kFlatList, *flat_ws, out);
-      per_depth[depth].push_back(out);
-      EXPECT_LE(live_staged(stream), 1u);
-    }
-    stream.finish(kFlatList, *flat_ws, out);
-    per_depth[depth].push_back(out);
-    rolled_back[depth] = stream.rolled_back_speculations();
-    decided[depth] = stream.speculated_batches();
-    committed[depth] = stream.committed_speculations();
-  }
-  expect_identical_deliveries(per_depth[0], per_depth[1]);
-  // Unlimited: stage, roll back + re-stage twice per group (three
-  // decisions, two wasted), commit the survivor.
-  EXPECT_EQ(decided[0], 3u * kGroups);
-  EXPECT_EQ(rolled_back[0], 2u * kGroups);
-  EXPECT_EQ(committed[0], static_cast<std::uint64_t>(kGroups));
-  // Depth 1: one stage per group; once the first late arrival rolls it
-  // back the budget is spent and the batch is decided fresh instead —
-  // wasted work bounded at depth decisions per real batch.
-  EXPECT_EQ(decided[1], static_cast<std::uint64_t>(kGroups));
-  EXPECT_EQ(rolled_back[1], static_cast<std::uint64_t>(kGroups));
-  EXPECT_LT(decided[1], decided[0]);
-}
-
 // --------------------------------------------------- engine + serve lock
 
 TEST(Speculation, EngineStreamSpeculationIsBitIdenticalAndCounted) {
@@ -616,73 +458,6 @@ TEST(Speculation, EngineStreamSpeculationIsBitIdenticalAndCounted) {
   EXPECT_GT(stats.spec_decided, 0u);
   EXPECT_GT(stats.spec_committed, 0u);
   EXPECT_EQ(stats.spec_decided, stats.spec_committed + stats.spec_rolled_back);
-}
-
-TEST(Speculation, DepthOptionRidesEngineAndServeConfigs) {
-  // StreamConfig::speculate_depth and StreamOptions::speculate_depth reach
-  // the session: capped speculation stays bit-identical to the unlimited
-  // run while rolling back no more than the cap allows.
-  const Tape tape = make_tape(333);
-  Rng plan_rng(333);
-  const std::vector<FeedStep> plan = plan_chunks(tape, plan_rng);
-
-  std::vector<StreamDelivery> engine_runs[2];
-  for (const int depth : {0, 1}) {
-    SchedulerEngine engine(EngineOptions{1, false});
-    StreamConfig config;
-    config.policy = &kFlatList;
-    config.m = tape.m;
-    config.speculate = true;
-    config.speculate_depth = depth;
-    const EngineStreamId id = engine.open_stream(config);
-    StreamDelivery out;
-    for (const FeedStep& step : plan) {
-      engine.feed_stream(id, tape.arrivals.data() + step.begin,
-                         step.end - step.begin, step.watermark, out);
-      engine_runs[depth].push_back(out);
-    }
-    engine.close_stream(id, out);
-    engine_runs[depth].push_back(out);
-    if (depth == 1) {
-      const EngineStats& stats = engine.stats();
-      EXPECT_EQ(stats.spec_decided,
-                stats.spec_committed + stats.spec_rolled_back);
-    }
-  }
-  expect_identical_deliveries(engine_runs[0], engine_runs[1]);
-
-  std::vector<StreamDelivery> serve_runs[2];
-  for (const int depth : {0, 1}) {
-    AsyncOptions options;
-    options.shards = 2;
-    options.flush_after_ms = 0.1;
-    AsyncScheduler async(options);
-    StreamOptions stream_options;
-    stream_options.policy = &kFlatList;
-    stream_options.m = tape.m;
-    stream_options.speculate = true;
-    stream_options.speculate_depth = depth;
-    const StreamTicket stream = async.open_stream(stream_options);
-    ASSERT_TRUE(stream.accepted());
-    std::vector<Ticket> tickets;
-    for (const FeedStep& step : plan) {
-      tickets.push_back(async.submit_stream(stream,
-                                            tape.arrivals.data() + step.begin,
-                                            step.end - step.begin,
-                                            step.watermark));
-      ASSERT_TRUE(tickets.back().accepted());
-    }
-    tickets.push_back(async.close_stream(stream));
-    ASSERT_TRUE(tickets.back().accepted());
-    async.drain();
-    StreamDelivery delivery;
-    for (const Ticket& ticket : tickets) {
-      ASSERT_EQ(async.wait(ticket), TicketStatus::Done);
-      ASSERT_TRUE(async.take_stream(ticket, delivery));
-      serve_runs[depth].push_back(delivery);
-    }
-  }
-  expect_identical_deliveries(serve_runs[0], serve_runs[1]);
 }
 
 TEST(Speculation, ServeLayerIsBitIdenticalAcrossShardsAndPolicies) {
